@@ -85,6 +85,7 @@ void CmpConfig::validate() const {
   GLOCKS_CHECK(is_pow2(l2.num_sets()),
                "L2 sets must be a power of two, got " << l2.num_sets());
   GLOCKS_CHECK(l1.ways >= 1 && l2.ways >= 1, "associativity must be >= 1");
+  GLOCKS_CHECK(l1.access_latency >= 1, "L1 access latency must be >= 1");
   GLOCKS_CHECK(noc.link_width_bytes >= noc.data_msg_bytes,
                "link narrower than a data message; the one-flit-per-message "
                "model requires link_width_bytes >= data_msg_bytes");

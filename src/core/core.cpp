@@ -60,6 +60,30 @@ void Core::resume(Cycle now) {
   }
 }
 
+void Core::respin() {
+  ThreadContext& t = *ctx_;
+  if (t.l1->park(t.spin_addr, awaiters::mem_done(t),
+                 [this](std::uint64_t elided, Cycle issued, Cycle period) {
+                   unpark(elided, issued, period);
+                 })) {
+    parked_ = true;
+    t.wait = ThreadContext::Wait::kMem;
+    return;
+  }
+  awaiters::issue_mem(t, awaiters::load_op(t.spin_addr));
+}
+
+void Core::unpark(std::uint64_t elided, Cycle issued, Cycle period) {
+  // Each elided iteration is one live tick (the load retires with the
+  // wait state already kReady) plus period - 1 dormant cycles in kMem,
+  // and one load micro-op; the load in flight adds one more.
+  parked_ = false;
+  ctx_->uops += elided + 1;
+  ctx_->cycles[static_cast<std::size_t>(ctx_->category)] += elided;
+  ctx_->cycles[dormant_charge_] += elided * (period - 1);
+  last_tick_ = issued;
+}
+
 void Core::go_dormant(Cycle now) {
   using Wait = ThreadContext::Wait;
   dormant_ = true;
@@ -85,8 +109,8 @@ void Core::go_dormant(Cycle now) {
 }
 
 void Core::tick(Cycle now) {
-  if (ctx_ == nullptr || ctx_->finished) {
-    sleep();
+  if (ctx_ == nullptr || ctx_->finished || parked_) {
+    sleep();  // a parked thread is woken through its L1's unpark
     return;
   }
 
@@ -116,6 +140,13 @@ void Core::tick(Cycle now) {
 
   switch (ctx_->wait) {
     case ThreadContext::Wait::kReady:
+      if (ctx_->spin_test != nullptr) {
+        if (!ctx_->spin_test(ctx_->spin_pred, ctx_->mem_result)) {
+          respin();
+          break;
+        }
+        ctx_->spin_test = nullptr;
+      }
       resume(now);
       break;
     case ThreadContext::Wait::kCompute:
@@ -228,12 +259,14 @@ void Core::save(ckpt::ArchiveWriter& a) const {
   a.u64(static_cast<std::uint64_t>(dormant_charge_));
   a.u8(static_cast<std::uint8_t>(dormant_wait_));
   a.u64(last_tick_);
+  a.b(parked_);
   a.b(ctx_ != nullptr);
   if (ctx_ == nullptr) return;
   const ThreadContext& t = *ctx_;
   a.u8(static_cast<std::uint8_t>(t.wait));
   a.u64(t.compute_remaining);
   a.u64(t.mem_result);
+  a.u64(t.spin_addr);
   a.u32(t.gline_id);
   a.b(t.finished);
   a.u8(static_cast<std::uint8_t>(t.category));
@@ -257,6 +290,7 @@ void Core::load(ckpt::ArchiveReader& a) {
   dormant_charge_ = static_cast<std::size_t>(a.u64());
   dormant_wait_ = static_cast<ThreadContext::Wait>(a.u8());
   last_tick_ = a.u64();
+  parked_ = a.b();
   const bool has_thread = a.b();
   GLOCKS_CHECK(has_thread == (ctx_ != nullptr),
                "checkpoint thread-binding mismatch on core " << id_);
@@ -265,6 +299,7 @@ void Core::load(ckpt::ArchiveReader& a) {
   t.wait = static_cast<ThreadContext::Wait>(a.u8());
   t.compute_remaining = a.u64();
   t.mem_result = a.u64();
+  t.spin_addr = a.u64();
   t.gline_id = a.u32();
   t.finished = a.b();
   t.category = static_cast<Category>(a.u8());
@@ -272,8 +307,9 @@ void Core::load(ckpt::ArchiveReader& a) {
   t.uops = a.u64();
   t.gline_spin_cycles = a.u64();
   t.finish_cycle = a.u64();
-  // t.resume_point is deliberately untouched: coroutine frames are not
-  // serializable; system-level restore rebuilds them by replay.
+  // t.resume_point and the spin test are deliberately untouched:
+  // coroutine frames are not serializable; system-level restore
+  // rebuilds them by replay.
 }
 
 }  // namespace glocks::core

@@ -49,6 +49,9 @@ class Core final : public sim::Component {
            w == ThreadContext::Wait::kQolbAcq ||
            w == ThreadContext::Wait::kQolbRel;
   }
+  /// True while the thread's spin_until is parked on its L1 line (the
+  /// wait state stays kMem, as for a load in flight).
+  bool parked() const { return parked_; }
   const ThreadContext& context() const { return *ctx_; }
   ThreadContext& context() { return *ctx_; }
   LockRegisters& lock_registers() { return lock_regs_; }
@@ -79,6 +82,13 @@ class Core final : public sim::Component {
 
  private:
   void resume(Cycle now);
+  /// A spin load retired with a value that fails the exit test: park on
+  /// the L1 line when the L1 allows it, else issue the next load.
+  void respin();
+  /// The L1 ended the park: charge the `elided` iterations' micro-ops
+  /// and cycles, and account the load now in flight (issued at `issued`)
+  /// as an ordinary memory wait.
+  void unpark(std::uint64_t elided, Cycle issued, Cycle period);
   /// Leaves the active set, recording what each skipped cycle would have
   /// been charged under the serial loop so the catch-up in tick() can
   /// reproduce the per-cycle accounting exactly.
@@ -105,6 +115,7 @@ class Core final : public sim::Component {
   std::size_t dormant_charge_ = 0;     ///< Category index charged per cycle
   ThreadContext::Wait dormant_wait_ = ThreadContext::Wait::kReady;
   Cycle last_tick_ = 0;                ///< cycle of the tick that slept
+  bool parked_ = false;                ///< spin_until parked on the L1
 };
 
 }  // namespace glocks::core

@@ -8,6 +8,8 @@
 //   co_await api.store(a, v)       coherent 64-bit store
 //   co_await api.amo(kind, a, v)   atomic read-modify-write (t&s, swap,
 //                                  fetch&add, CAS), returns the old value
+//   co_await api.spin_until(a, p)  load a until p(value) holds, returns
+//                                  that value (a local spin loop)
 //   co_await api.gl_acquire(g)     set lock_req[g]; spin until the local
 //                                  G-line controller clears it (paper Fig 5)
 //   co_await api.gl_release(g)     set lock_rel[g]; done when cleared
@@ -21,6 +23,7 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -103,6 +106,12 @@ struct ThreadContext {
 
   Wait wait = Wait::kReady;
   std::coroutine_handle<> resume_point;
+  /// The spin_until in progress: the word it loads and its exit test
+  /// (spin_test == nullptr outside a spin). The predicate object lives in
+  /// the suspended coroutine's frame, like resume_point.
+  Addr spin_addr = 0;
+  bool (*spin_test)(const void* pred, Word value) = nullptr;
+  const void* spin_pred = nullptr;
   std::uint64_t compute_remaining = 0;
   Word mem_result = 0;
   GlockId gline_id = 0;
@@ -136,22 +145,61 @@ struct Compute {
   void await_resume() const noexcept {}
 };
 
+inline mem::MemOp load_op(Addr a) {
+  return mem::MemOp{mem::MemOp::Type::kLoad, a, 0, 0,
+                    mem::AmoKind::kTestAndSet};
+}
+
+/// The L1 retire callback of a thread's memory op: stores the result and
+/// hands the thread back to its core.
+inline mem::L1Cache::Callback mem_done(ThreadContext& ctx) {
+  ThreadContext* c = &ctx;
+  return [c](Word result) {
+    c->mem_result = result;
+    c->wait = ThreadContext::Wait::kReady;
+    if (c->core_component != nullptr) c->core_component->wake();
+  };
+}
+
+/// Issues one memory micro-op; the thread waits until it retires.
+inline void issue_mem(ThreadContext& ctx, const mem::MemOp& op) {
+  ctx.wait = ThreadContext::Wait::kMem;
+  ctx.uops += 1;
+  ctx.l1->issue(op, mem_done(ctx));
+}
+
 struct Mem {
   ThreadContext& ctx;
   mem::MemOp op;
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
     ctx.resume_point = h;
-    ctx.wait = ThreadContext::Wait::kMem;
-    ctx.uops += 1;
-    ThreadContext* c = &ctx;
-    ctx.l1->issue(op, [c](Word result) {
-      c->mem_result = result;
-      c->wait = ThreadContext::Wait::kReady;
-      if (c->core_component != nullptr) c->core_component->wake();
-    });
+    issue_mem(ctx, op);
   }
   Word await_resume() const noexcept { return ctx.mem_result; }
+};
+
+/// `while (!pred(load(addr))) {}` as one awaiter. The core re-issues the
+/// load each time it retires with a value that fails `pred`, exactly as
+/// the coroutine loop would, so the coroutine resumes only on exit; that
+/// lets the event-driven kernel park the spinner on its L1 line.
+template <typename Pred>
+struct SpinUntil {
+  ThreadContext& ctx;
+  Addr addr;
+  Pred pred;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    ctx.resume_point = h;
+    ctx.spin_addr = addr;
+    ctx.spin_test = &SpinUntil::test;
+    ctx.spin_pred = &pred;
+    issue_mem(ctx, load_op(addr));
+  }
+  Word await_resume() const noexcept { return ctx.mem_result; }
+  static bool test(const void* p, Word value) {
+    return (*static_cast<const Pred*>(p))(value);
+  }
 };
 
 struct GBarrierOp {
@@ -302,9 +350,13 @@ class ThreadApi {
 
   awaiters::Compute compute(std::uint64_t cycles) { return {ctx_, cycles}; }
 
-  awaiters::Mem load(Addr a) {
-    return {ctx_, mem::MemOp{mem::MemOp::Type::kLoad, a, 0, 0,
-                             mem::AmoKind::kTestAndSet}};
+  awaiters::Mem load(Addr a) { return {ctx_, awaiters::load_op(a)}; }
+  /// Loads `a` until `pred(value)` holds and returns that value: the
+  /// local spin loop `while (!pred(v = load(a))) {}`, one load per
+  /// iteration. `pred` must be a pure function of the value.
+  template <typename Pred>
+  awaiters::SpinUntil<Pred> spin_until(Addr a, Pred pred) {
+    return {ctx_, a, std::move(pred)};
   }
   awaiters::Mem store(Addr a, Word v) {
     return {ctx_, mem::MemOp{mem::MemOp::Type::kStore, a, v, 0,

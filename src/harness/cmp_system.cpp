@@ -10,9 +10,18 @@ namespace glocks::harness {
 
 namespace {
 
-const char* wait_name(core::ThreadContext::Wait w) {
+std::string wait_name(const core::Core& c, const mem::L1Cache& l1) {
   using Wait = core::ThreadContext::Wait;
-  switch (w) {
+  if (c.parked()) {
+    // A missed unpark shows up here, naming the core and its line.
+    const mem::L1Cache::SpinWatch& w = *l1.spin_watch();
+    std::ostringstream oss;
+    oss << "spin-park line=" << line_of(w.addr)
+        << " value=" << c.context().mem_result << " since=" << w.since
+        << " period=" << w.period;
+    return oss.str();
+  }
+  switch (c.context().wait) {
     case Wait::kReady: return "ready";
     case Wait::kCompute: return "compute";
     case Wait::kMem: return "mem";
@@ -308,7 +317,7 @@ std::string CmpSystem::hang_report() const {
       continue;
     }
     const auto& ctx = c->context();
-    oss << wait_name(ctx.wait);
+    oss << wait_name(*c, hierarchy_.l1(c->id()));
     if (ctx.wait == core::ThreadContext::Wait::kGlineReq ||
         ctx.wait == core::ThreadContext::Wait::kGlineRel) {
       oss << "(glock " << ctx.gline_id << ")";

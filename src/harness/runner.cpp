@@ -67,6 +67,13 @@ RunResult run_workload(Workload& workload, const RunConfig& cfg,
     r.perf.msg.express_hits = xp.hits;
     r.perf.msg.express_declined = xp.declined;
     r.perf.msg.express_materialized = xp.materialized;
+    for (CoreId c = 0; c < sys.num_cores(); ++c) {
+      const auto& sp = sys.hierarchy().l1(c).spin_stats();
+      r.perf.spin.parks += sp.parks;
+      r.perf.spin.elided += sp.elided;
+      r.perf.spin.unparks_inv += sp.unparks_inv;
+      r.perf.spin.unparks_fwd += sp.unparks_fwd;
+    }
     r.perf.shard.staged_packets = sys.mesh().staged_sends();
     r.perf.shard.boundary_flits = sys.mesh().boundary_flits();
     r.perf.shard.windowed_sends = sys.mesh().windowed_sends();

@@ -30,8 +30,7 @@ Task<void> ClhLock::do_acquire(ThreadApi& t) {
   my_pred_[tid] = pred;
   // Spin on the predecessor's node: local once cached, invalidated
   // exactly once by the predecessor's release.
-  while (co_await t.load(pred) != 0) {
-  }
+  co_await t.spin_until(pred, [](Word v) { return v == 0; });
 }
 
 Task<void> ClhLock::do_release(ThreadApi& t) {

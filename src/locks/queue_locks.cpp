@@ -18,8 +18,7 @@ TicketLock::TicketLock(mem::SimAllocator& heap, std::uint32_t num_threads)
 Task<void> TicketLock::do_acquire(ThreadApi& t) {
   const Word my = co_await t.amo(AmoKind::kFetchAdd, ticket_, 1);
   my_ticket_[t.thread_id()] = my;
-  while (co_await t.load(now_serving_) != my) {
-  }
+  co_await t.spin_until(now_serving_, [my](Word v) { return v == my; });
 }
 
 Task<void> TicketLock::do_release(ThreadApi& t) {
@@ -46,8 +45,7 @@ Task<void> ArrayLock::do_acquire(ThreadApi& t) {
   const Addr slot = slots_ + idx * kLineBytes;
   // Slot 0 starts at 1 (set by the harness preload); every other slot is
   // armed by the predecessor's release.
-  while (co_await t.load(slot) == 0) {
-  }
+  co_await t.spin_until(slot, [](Word v) { return v != 0; });
   co_await t.store(slot, 0);  // consume the grant for the next rotation
 }
 
@@ -74,8 +72,7 @@ Task<void> McsLock::do_acquire(ThreadApi& t) {
   co_await t.store(me + kLockedOff, 1);
   co_await t.store(pred + kNextOff, me);  // link behind the predecessor
   // Local spin on our own node; the predecessor's release flips it.
-  while (co_await t.load(me + kLockedOff) != 0) {
-  }
+  co_await t.spin_until(me + kLockedOff, [](Word v) { return v == 0; });
 }
 
 Task<void> McsLock::do_release(ThreadApi& t) {
@@ -87,8 +84,8 @@ Task<void> McsLock::do_release(ThreadApi& t) {
         co_await t.amo(AmoKind::kCompareSwap, tail_, 0, /*expected=*/me);
     if (seen == me) co_return;  // queue really was empty
     // A successor is in the middle of linking; wait for it to appear.
-    while ((next = co_await t.load(me + kNextOff)) == 0) {
-    }
+    next =
+        co_await t.spin_until(me + kNextOff, [](Word v) { return v != 0; });
   }
   co_await t.store(next + kLockedOff, 0);
 }

@@ -24,8 +24,7 @@ Task<void> TatasLock::do_acquire(ThreadApi& t) {
   while (true) {
     // Local spin: loads hit the L1 in Shared until the holder's release
     // invalidates the line.
-    while (co_await t.load(flag_) != 0) {
-    }
+    co_await t.spin_until(flag_, [](Word v) { return v == 0; });
     const Word old = co_await t.amo(AmoKind::kTestAndSet, flag_, 0);
     if (old == 0) co_return;
     if (backoff_cap_ > 0) {

@@ -348,7 +348,76 @@ void L1Cache::handle_msg(CohMsg& msg, Cycle now) {
   }
 }
 
+bool L1Cache::park(Addr addr, Callback done, UnparkFn unparked) {
+  const Cycle now = engine_.now();
+  if (engine_.mode() != EngineMode::kEventDriven || last_hit_at_ != now ||
+      last_hit_addr_ != addr) {
+    return false;
+  }
+  GLOCKS_CHECK(!pending_.has_value() && !watch_.has_value(),
+               "core " << core_ << " parked with an op or a park in flight");
+  GLOCKS_CHECK(find(line_of(addr)) != nullptr,
+               "core " << core_ << " parked on non-resident line "
+                       << line_of(addr));
+  // The replay assumes every elided iteration takes exactly the hit
+  // latency from issue to retire; a different period would mean the
+  // spin was not a pure run of L1 hits.
+  GLOCKS_CHECK(last_hit_period_ == cfg_.access_latency,
+               "core " << core_ << " spin period " << last_hit_period_
+                       << " differs from the L1 hit latency "
+                       << cfg_.access_latency);
+  watch_ = SpinWatch{addr, now, last_hit_period_};
+  watch_done_ = std::move(done);
+  watch_unparked_ = std::move(unparked);
+  ++spin_.parks;
+  return true;
+}
+
+void L1Cache::check_watch(Cycle now) {
+  // Mirrors the drain below: only messages it would handle this cycle.
+  const Addr line = line_of(watch_->addr);
+  for (const Inbox& in : inbox_) {
+    if (in.ready > now) return;
+    const CohType t = in.msg->type;
+    if (in.msg->line == line &&
+        (t == CohType::kInv || t == CohType::kFwdGetS ||
+         t == CohType::kFwdGetX)) {
+      unpark(now, t == CohType::kInv);
+      return;
+    }
+  }
+}
+
+void L1Cache::unpark(Cycle now, bool by_inv) {
+  const SpinWatch w = *watch_;
+  watch_.reset();
+  GLOCKS_CHECK(now > w.since, "core " << core_ << " unparked at cycle "
+                                      << now << ", parked at " << w.since);
+  // Serially, load j is issued at since + j*period and retires as a hit
+  // one period later. Those retiring before `now` are done; the next is
+  // still in lookup, and this cycle's message reaches the line first.
+  const std::uint64_t k = (now - w.since - 1) / w.period;
+  const Cycle issued = w.since + k * w.period;
+  Entry* e = find(line_of(w.addr));
+  GLOCKS_CHECK(e != nullptr, "core " << core_ << " lost watched line "
+                                     << line_of(w.addr));
+  e->lru = issued;
+  stats_.loads += k + 1;
+  stats_.hits += k;
+  spin_.elided += k;
+  ++(by_inv ? spin_.unparks_inv : spin_.unparks_fwd);
+  Pending p;
+  p.op = MemOp{MemOp::Type::kLoad, w.addr, 0, 0, AmoKind::kTestAndSet};
+  p.done = std::move(watch_done_);
+  p.lookup_ready = issued + w.period;
+  pending_ = std::move(p);
+  if (pending_->lookup_ready > now) wake_at(pending_->lookup_ready);
+  UnparkFn unparked = std::move(watch_unparked_);
+  unparked(k, issued, w.period);
+}
+
 void L1Cache::tick(Cycle now) {
+  if (watch_.has_value()) check_watch(now);
   while (!inbox_.empty() && inbox_.front().ready <= now) {
     auto msg = std::move(inbox_.front().msg);
     inbox_.pop_front();
@@ -377,6 +446,11 @@ void L1Cache::tick(Cycle now) {
   const bool is_write = pending_->op.type != MemOp::Type::kLoad;
   if (e != nullptr && (!is_write || e->state != LineState::kS)) {
     ++stats_.hits;
+    if (!is_write) {
+      last_hit_addr_ = pending_->op.addr;
+      last_hit_at_ = now;
+      last_hit_period_ = now + cfg_.access_latency - pending_->lookup_ready;
+    }
     complete_with_line(*e, now);
     sleep();
     return;
@@ -450,6 +524,12 @@ void L1Cache::save(ckpt::ArchiveWriter& a) const {
   a.u64(op_seq_);
   a.u64(e2e_.timeouts);
   a.u64(e2e_.retries);
+  a.b(watch_.has_value());
+  if (watch_.has_value()) {
+    a.u64(watch_->addr);
+    a.u64(watch_->since);
+    a.u64(watch_->period);
+  }
 }
 
 void L1Cache::load(ckpt::ArchiveReader& a) {
@@ -511,6 +591,16 @@ void L1Cache::load(ckpt::ArchiveReader& a) {
   op_seq_ = a.u64();
   e2e_.timeouts = a.u64();
   e2e_.retries = a.u64();
+  watch_.reset();
+  if (a.b()) {
+    SpinWatch w;
+    w.addr = a.u64();
+    w.since = a.u64();
+    w.period = a.u64();
+    // The watch's callbacks, like the MSHR's, are host-side state that
+    // the replay path re-establishes.
+    watch_ = w;
+  }
 }
 
 }  // namespace glocks::mem

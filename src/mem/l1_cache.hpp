@@ -77,9 +77,29 @@ struct L1Stats {
   std::uint64_t accesses() const { return loads + stores + amos; }
 };
 
+/// Spin-parking counters (host-side observability; never serialized,
+/// never reported in results).
+struct SpinStats {
+  std::uint64_t parks = 0;        ///< spinners parked on a resident line
+  std::uint64_t elided = 0;       ///< spin iterations replayed in bulk
+  std::uint64_t unparks_inv = 0;  ///< parks ended by an Inv
+  std::uint64_t unparks_fwd = 0;  ///< parks ended by a FwdGetS/FwdGetX
+};
+
 class L1Cache final : public sim::Component {
  public:
   using Callback = std::function<void(Word)>;
+  /// Told, at unpark, how many spin iterations were elided, the cycle
+  /// the load now in flight was issued at, and the iteration period.
+  using UnparkFn =
+      std::function<void(std::uint64_t elided, Cycle issued, Cycle period)>;
+
+  /// A parked spinner's watch on its resident line.
+  struct SpinWatch {
+    Addr addr = 0;     ///< the word the spinner loads
+    Cycle since = 0;   ///< cycle of the last real hit (first elided issue)
+    Cycle period = 0;  ///< issue-to-retire cycles of one iteration
+  };
 
   L1Cache(CoreId core, const L1Config& cfg, const AddressMap& amap,
           Transport& transport, const sim::Engine& engine);
@@ -110,6 +130,20 @@ class L1Cache final : public sim::Component {
   }
 
   void tick(Cycle now) override;
+
+  /// Spin parking (event-driven kernel only). The core calls this in the
+  /// cycle a spin load on `addr` retired as a hit and failed its exit
+  /// test. Returns false (the core re-issues the load) under kSerial or
+  /// when that load was not a hit retired this cycle. Otherwise the L1
+  /// watches the line instead of the core re-issuing the load once
+  /// per hit latency: only an Inv or a forward for the line can change
+  /// its value or state, and nothing else can evict it while the core
+  /// is idle. When one arrives, tick() replays the elided iterations'
+  /// L1 effects, re-creates the load the serial loop would have in
+  /// flight, calls `unparked`, and retires that load through `done`.
+  bool park(Addr addr, Callback done, UnparkFn unparked);
+  const std::optional<SpinWatch>& spin_watch() const { return watch_; }
+  const SpinStats& spin_stats() const { return spin_; }
 
   const L1Stats& stats() const { return stats_; }
 
@@ -198,6 +232,10 @@ class L1Cache final : public sim::Component {
   /// The deadline fired: re-issue the request or, with the retry budget
   /// exhausted, throw the structured SimError.
   void fire_e2e_watchdog(Cycle now);
+  /// Ends the park if a message due this cycle invalidates or forwards
+  /// the watched line; called before the inbox drain.
+  void check_watch(Cycle now);
+  void unpark(Cycle now, bool by_inv);
   Word apply_amo(LineData& data, std::uint32_t word_idx, const MemOp& op);
 
   CoreId core_;
@@ -217,6 +255,15 @@ class L1Cache final : public sim::Component {
   std::function<std::string()> e2e_context_;
   std::uint64_t op_seq_ = 0;  ///< request-id source (monotonic per core)
   E2eStats e2e_;
+  /// The load hit retired most recently: what park() checks against.
+  Addr last_hit_addr_ = 0;
+  Cycle last_hit_at_ = kNoCycle;
+  Cycle last_hit_period_ = 0;
+  /// Spin parking state (watch_ set while the core is parked).
+  std::optional<SpinWatch> watch_;
+  Callback watch_done_;
+  UnparkFn watch_unparked_;
+  SpinStats spin_;
 };
 
 }  // namespace glocks::mem

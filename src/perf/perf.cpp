@@ -64,6 +64,10 @@ void SimPerf::add(const SimPerf& other) {
   msg.express_hits += other.msg.express_hits;
   msg.express_declined += other.msg.express_declined;
   msg.express_materialized += other.msg.express_materialized;
+  spin.parks += other.spin.parks;
+  spin.elided += other.spin.elided;
+  spin.unparks_inv += other.spin.unparks_inv;
+  spin.unparks_fwd += other.spin.unparks_fwd;
   shard.shards = std::max(shard.shards, other.shard.shards);
   shard.lockstep_epochs += other.shard.lockstep_epochs;
   shard.windowed_epochs += other.shard.windowed_epochs;
@@ -143,6 +147,9 @@ std::string SimPerf::summary() const {
       << msg.express_declined << " declined, " << msg.express_materialized
       << " materialized (" << msg.express_hit_rate() * 100.0
       << "% hit rate)\n";
+  oss << "spin: " << spin.parks << " parks, " << spin.elided
+      << " elided iterations; unparks " << spin.unparks_inv << " inv, "
+      << spin.unparks_fwd << " fwd\n";
   if (shard.shards > 1) {
     oss << "sharded: " << shard.shards << " shards";
     if (!shard.map.empty()) oss << ", map " << shard.map;
@@ -205,6 +212,12 @@ void SimPerf::write_json(std::ostream& out, int indent) const {
   out << in2 << "\"express_materialized\": " << msg.express_materialized
       << ",\n";
   out << in2 << "\"express_hit_rate\": " << msg.express_hit_rate() << "\n";
+  out << in1 << "},\n";
+  out << in1 << "\"spin\": {\n";
+  out << in2 << "\"parks\": " << spin.parks << ",\n";
+  out << in2 << "\"elided\": " << spin.elided << ",\n";
+  out << in2 << "\"unparks_inv\": " << spin.unparks_inv << ",\n";
+  out << in2 << "\"unparks_fwd\": " << spin.unparks_fwd << "\n";
   out << in1 << "},\n";
   out << in1 << "\"shard_exec\": {\n";
   out << in2 << "\"shards\": " << shard.shards << ",\n";

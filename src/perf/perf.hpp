@@ -49,6 +49,17 @@ struct MsgPathPerf {
   double express_hit_rate() const;
 };
 
+/// Spin-parking counters, summed over every L1 (see mem::SpinStats):
+/// software-lock spinners parked on their resident line, the spin
+/// iterations replayed in bulk instead of stepped, and what ended each
+/// park.
+struct SpinPerf {
+  std::uint64_t parks = 0;
+  std::uint64_t elided = 0;
+  std::uint64_t unparks_inv = 0;
+  std::uint64_t unparks_fwd = 0;
+};
+
 /// Sharded-execution counters: lockstep vs windowed epochs, the
 /// window-length histogram, per-shard busy vs barrier-wait wall time,
 /// and the cross-shard staging volume. All zero when the run was not
@@ -93,6 +104,7 @@ struct SimPerf {
   std::uint64_t runs = 0;
   sim::EnginePerf engine;
   MsgPathPerf msg;
+  SpinPerf spin;
   ShardExecPerf shard;
   /// Per-component tick/wake counts, merged by slot name across runs.
   std::vector<sim::SlotPerf> slots;
@@ -105,7 +117,7 @@ struct SimPerf {
   /// Folds another measurement in (counters sum; slots merge by name).
   void add(const SimPerf& other);
 
-  /// Three-line human summary for `--perf`.
+  /// Four-line human summary for `--perf` (more when sharded).
   std::string summary() const;
   /// JSON object (BENCH_sim_throughput.json payload).
   void write_json(std::ostream& out, int indent = 0) const;

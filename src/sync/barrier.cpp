@@ -81,8 +81,7 @@ Task<void> TreeBarrier::do_await(ThreadApi& t) {
       node = static_cast<std::uint32_t>(n.parent);
     } else {
       // Lost the race here: spin locally until this round's wake-up wave.
-      while (co_await t.load(n.release) != r) {
-      }
+      co_await t.spin_until(n.release, [r](Word v) { return v == r; });
       break;
     }
   }
@@ -123,8 +122,7 @@ Task<void> CentralBarrier::do_await(ThreadApi& t) {
     co_await t.store(count_, 0);
     co_await t.store(sense_, r);  // releases every spinning thread at once
   } else {
-    while (co_await t.load(sense_) != r) {
-    }
+    co_await t.spin_until(sense_, [r](Word v) { return v == r; });
   }
 }
 

@@ -60,13 +60,17 @@ Cycle pick_checkpoint_cycle(const std::string& name, Cycle run_cycles) {
   return lo + (span == 0 ? 0 : h % span);
 }
 
+/// Checkpoints `spec` at cycle `at` (by default a pick_checkpoint_cycle
+/// point) and demands that pausing and restoring both reproduce the
+/// uninterrupted run.
 void check_resume_equivalence(const ckpt::RunSpec& spec,
-                              const std::string& dir) {
+                              const std::string& dir,
+                              Cycle at = kNoCycle) {
   SCOPED_TRACE(spec.workload);
   const harness::RunResult r0 = run_plain(spec);
   ASSERT_GT(r0.cycles, 10u) << "run too short to checkpoint mid-way";
 
-  const Cycle at = pick_checkpoint_cycle(spec.workload, r0.cycles);
+  if (at == kNoCycle) at = pick_checkpoint_cycle(spec.workload, r0.cycles);
   std::vector<std::string> written;
   const harness::RunResult paused =
       ckpt::run_with_checkpoints(spec, {at}, dir, &written);
@@ -118,6 +122,34 @@ TEST(CkptEquivalence, MeshFaultedRunRoundTrips) {
   spec.cmp.fault.mesh.delay_rate = 2e-3;
   spec.cmp.fault.mesh.kills.push_back(LinkKill{1, 3, 1500});
   check_resume_equivalence(spec, ::testing::TempDir());
+}
+
+TEST(CkptEquivalence, McsRoundTripsAcrossASpinPark) {
+  // MCS spinners park on their L1 lines: a checkpoint taken while one is
+  // parked carries the spin watch and the park flag, and the restored
+  // run must reach the same bytes and finish bit-identically.
+  ckpt::RunSpec spec = base_spec("SCTR");
+  spec.policy.highly_contended = locks::LockKind::kMcs;
+  const harness::RunResult r0 = run_plain(spec);
+  auto wl = workloads::make_workload(spec.workload, spec.scale);
+  harness::RunConfig cfg;
+  cfg.cmp = spec.cmp;
+  cfg.policy = spec.policy;
+  cfg.seed = spec.seed;
+  cfg.energy = spec.energy;
+  harness::RunHooks hooks;
+  for (Cycle c = r0.cycles / 3; c < r0.cycles / 3 + 500; ++c) {
+    hooks.pause_at.push_back(c);
+  }
+  Cycle at = kNoCycle;
+  hooks.on_pause = [&](harness::CmpSystem& sys, Cycle now) {
+    for (CoreId c = 0; c < sys.num_cores() && at == kNoCycle; ++c) {
+      if (sys.core(c).parked()) at = now;
+    }
+  };
+  harness::run_workload(*wl, cfg, hooks);
+  ASSERT_NE(at, kNoCycle) << "no core parked in the probed cycles";
+  check_resume_equivalence(spec, ::testing::TempDir(), at);
 }
 
 // ---------------------------------------------------------------------
@@ -180,6 +212,24 @@ TEST_F(CkptRejection, NewerFormatVersionIsBadVersion) {
   }
   EXPECT_EQ(restore_error(write_variant("newer.ckpt", bad)),
             ckpt::CkptError::Code::kBadVersion);
+}
+
+TEST_F(CkptRejection, VersionFiveArchiveIsBadVersion) {
+  // v5 archives predate the spin-parking fields of the core and L1
+  // sections; they must be refused up front, naming the version.
+  std::vector<char> old = bytes_;
+  for (int i = 0; i < 4; ++i) {
+    old[8 + static_cast<std::size_t>(i)] = static_cast<char>(i == 0 ? 5 : 0);
+  }
+  try {
+    ckpt::restore_and_run(write_variant("v5.ckpt", old));
+    ADD_FAILURE() << "version-5 archive unexpectedly restored";
+  } catch (const ckpt::CkptError& e) {
+    EXPECT_EQ(e.code(), ckpt::CkptError::Code::kBadVersion);
+    EXPECT_NE(std::string(e.what()).find("format version 5"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(CkptRejection, NotAnArchiveIsBadMagic) {

@@ -2,17 +2,21 @@
 // wake ordering, the N -> N+1 visibility bump, clock-jump bounds, and —
 // the property everything else exists to protect — bit-identity between
 // the event kernel and the serial tick-everything reference for every
-// registry workload.
+// registry workload under every spinning lock.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "fault/fault.hpp"
 #include "harness/runner.hpp"
 #include "result_diff.hpp"
 #include "sim/engine.hpp"
+#include "workloads/micro.hpp"
 #include "workloads/registry.hpp"
 
 namespace glocks::sim {
@@ -163,38 +167,104 @@ TEST(EngineEvent, SerialModeIgnoresSleep) {
   EXPECT_EQ(log.size(), 5u);
 }
 
-// The headline acceptance property: for every workload in the registry,
-// the event-driven kernel reproduces the serial reference bit-for-bit
-// across every reported metric (cycles, per-category breakdowns, cache
-// and directory counters, G-line traffic, energy, the lock census —
-// everything diff_results covers).
-harness::RunResult run_mode(const workloads::RegistryEntry& entry,
-                            EngineMode mode) {
-  auto wl = entry.make(0.25);
+// The headline acceptance property: for every workload in the registry
+// under every software lock (whose spinners park on their L1 line in the
+// event kernel) and under GLocks, the event-driven kernel reproduces the
+// serial reference bit-for-bit across every reported metric (cycles,
+// per-category breakdowns, cache and directory counters, G-line traffic,
+// energy, the lock census — everything diff_results covers).
+constexpr locks::LockKind kEquivalenceLocks[] = {
+    locks::LockKind::kMcs,   locks::LockKind::kTatas, locks::LockKind::kTicket,
+    locks::LockKind::kArray, locks::LockKind::kClh,   locks::LockKind::kGlock};
+
+/// Software-lock points run on 16 cores at scale 0.1, which keeps the
+/// serial reference runs short; GLock points keep the 32-core machine.
+harness::RunConfig mode_config(locks::LockKind lock) {
   harness::RunConfig cfg;
-  cfg.policy.highly_contended = locks::LockKind::kGlock;
+  cfg.cmp.num_cores = lock == locks::LockKind::kGlock ? 32 : 16;
+  cfg.policy.highly_contended = lock;
   cfg.seed = 5;
-  cfg.cmp.engine_mode = mode;
-  return harness::run_workload(*wl, cfg);
+  return cfg;
 }
 
+/// Runs the workload under both kernels; returns diff_results of the two
+/// and stores how many spinners the event run parked in `parks`.
+std::string diff_modes(harness::Workload& serial_wl,
+                       harness::Workload& event_wl, harness::RunConfig cfg,
+                       std::uint64_t& parks) {
+  cfg.cmp.engine_mode = EngineMode::kSerial;
+  const auto serial = harness::run_workload(serial_wl, cfg);
+  EXPECT_EQ(serial.perf.spin.parks, 0u) << "the serial kernel parked";
+  cfg.cmp.engine_mode = EngineMode::kEventDriven;
+  const auto event = harness::run_workload(event_wl, cfg);
+  parks = event.perf.spin.parks;
+  return test::diff_results(serial, event);
+}
+
+constexpr double kScale = 0.1;
+constexpr double kGlockScale = 0.25;
+
 class EveryWorkloadEventVsSerial
-    : public ::testing::TestWithParam<std::size_t> {};
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, locks::LockKind>> {};
 
 TEST_P(EveryWorkloadEventVsSerial, EventKernelIsBitIdenticalToSerial) {
-  const auto& entry = workloads::registry()[GetParam()];
-  const auto serial = run_mode(entry, EngineMode::kSerial);
-  const auto event = run_mode(entry, EngineMode::kEventDriven);
-  const std::string diff = test::diff_results(serial, event);
-  EXPECT_EQ(diff, "") << entry.name << ": " << diff;
+  const auto& [index, lock] = GetParam();
+  const auto& entry = workloads::registry()[index];
+  const double scale = lock == locks::LockKind::kGlock ? kGlockScale : kScale;
+  auto serial_wl = entry.make(scale);
+  auto event_wl = entry.make(scale);
+  std::uint64_t parks = 0;
+  const std::string diff =
+      diff_modes(*serial_wl, *event_wl, mode_config(lock), parks);
+  EXPECT_EQ(diff, "") << entry.name << "/" << locks::to_string(lock) << ": "
+                      << diff;
+  // The comparison must exercise spin parking wherever software spins.
+  if (lock != locks::LockKind::kGlock) EXPECT_GT(parks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, EveryWorkloadEventVsSerial,
-    ::testing::Range<std::size_t>(0, workloads::registry().size()),
+    ::testing::Combine(
+        ::testing::Range<std::size_t>(0, workloads::registry().size()),
+        ::testing::ValuesIn(kEquivalenceLocks)),
     [](const auto& info) {
-      return workloads::registry()[info.param].name;
+      return workloads::registry()[std::get<0>(info.param)].name + "_" +
+             std::string(locks::to_string(std::get<1>(info.param)));
     });
+
+// Both software barriers spin with spin_until. ACTR and OCEAN above use
+// the tree barrier under each lock; here ACTR runs each barrier kind
+// under MCS.
+TEST(EventVsSerial, SoftwareBarriersAreBitIdentical) {
+  for (const sync::BarrierKind kind :
+       {sync::BarrierKind::kTree, sync::BarrierKind::kCentral}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    workloads::MicroParams p;
+    p.total_iterations = 100;
+    p.barrier = kind;
+    workloads::AffinityCounter serial_wl(p), event_wl(p);
+    std::uint64_t parks = 0;
+    const std::string diff = diff_modes(
+        serial_wl, event_wl, mode_config(locks::LockKind::kMcs), parks);
+    EXPECT_EQ(diff, "") << diff;
+    EXPECT_GT(parks, 0u);
+  }
+}
+
+// sweep-faulted runs MCS with G-line and mesh faults armed: retries and
+// end-to-end re-issues must not disturb a parked spinner's replay.
+TEST(EventVsSerial, FaultedMcsIsBitIdentical) {
+  auto serial_wl = workloads::make_workload("SCTR", kScale);
+  auto event_wl = workloads::make_workload("SCTR", kScale);
+  harness::RunConfig cfg = mode_config(locks::LockKind::kMcs);
+  cfg.cmp.fault =
+      fault::parse_fault_spec("drop=0.001,noise=0.0001,mesh:rate=0.0005");
+  std::uint64_t parks = 0;
+  const std::string diff = diff_modes(*serial_wl, *event_wl, cfg, parks);
+  EXPECT_EQ(diff, "") << diff;
+  EXPECT_GT(parks, 0u);
+}
 
 }  // namespace
 }  // namespace glocks::sim
