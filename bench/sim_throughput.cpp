@@ -3,37 +3,18 @@
 // tick-everything kernel and the event-driven kernel, checks the two
 // agree on every headline metric, and reports the wall-clock speedup.
 //
-// A second section measures shard scaling: SCTR and MCTR under GLock on
-// a large machine (--shard-cores, default 256 — sharding pays off when
-// there are many tiles per host thread) across --shards {1, 2, 4, 8},
-// checking every count is bit-identical to the serial scan and
-// reporting wall-clock speedups relative to it. A third section runs
-// the same 4-shard machine under each tile->shard ownership map (block,
-// stripe, quad, profile), checking bit-identity again and reporting
-// each map's wall time and per-shard busy-ns imbalance ratio — the
-// number the profile balancer exists to shrink. On hosts with fewer
-// hardware threads than shards the numbers degrade gracefully (workers
-// time-slice); the JSON flags that with "shard_numbers_advisory" and
-// scripts/bench_throughput.sh only gates the speedup when the host has
-// the parallelism to deliver one.
-//
 //   sim_throughput [--scale X] [--cores N] [--out PATH]
-//                  [--shard-cores N] [--shard-scale X]
 //
 // Emits BENCH_sim_throughput.json (or --out) with both modes' SimPerf
 // payloads plus the speedup; scripts/bench_throughput.sh and the CI
 // perf-smoke job compare that file against the committed baseline with a
 // generous tolerance. Runs are strictly sequential so the wall times are
-// not polluted by sibling simulations competing for cores (the shard
-// section's workers are the one deliberate exception — host parallelism
-// is exactly what it measures).
+// not polluted by sibling simulations competing for cores.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench_support.hpp"
 #include "perf/perf.hpp"
@@ -44,18 +25,14 @@ using namespace glocks;
 
 harness::RunResult run_point(const std::string& workload,
                              locks::LockKind hc, std::uint32_t cores,
-                             double scale, EngineMode mode,
-                             std::uint32_t shards = 1,
-                             ShardMapPolicy map = ShardMapPolicy::kBlock) {
+                             double scale, EngineMode mode) {
   auto wl = workloads::make_workload(workload, scale);
   harness::RunConfig cfg = bench::paper_config(hc);
   cfg.cmp.num_cores = cores;
   cfg.cmp.engine_mode = mode;
-  cfg.cmp.num_shards = shards;
-  cfg.cmp.shard_map = map;
   // Past a 7x7 mesh the flat single-cycle G-line layout is out of reach
-  // (max_transmitters_per_line); the big shard-scaling machine uses the
-  // Section V hierarchical network, as the 256-core tests do.
+  // (max_transmitters_per_line); larger machines use the Section V
+  // hierarchical network, as the 256-core tests do.
   if (cores > 49) cfg.cmp.gline.hierarchical = true;
   return harness::run_workload(*wl, cfg);
 }
@@ -76,8 +53,6 @@ bool same_results(const harness::RunResult& a,
 int main(int argc, char** argv) {
   double scale = 1.0;
   std::uint32_t cores = 32;
-  std::uint32_t shard_cores = 256;
-  double shard_scale = 0.25;
   std::string out_path = "BENCH_sim_throughput.json";
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -85,16 +60,12 @@ int main(int argc, char** argv) {
       scale = std::atof(argv[++i]);
     } else if (flag == "--cores" && i + 1 < argc) {
       cores = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (flag == "--shard-cores" && i + 1 < argc) {
-      shard_cores = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (flag == "--shard-scale" && i + 1 < argc) {
-      shard_scale = std::atof(argv[++i]);
     } else if (flag == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: sim_throughput [--scale X] [--cores N] "
-                   "[--shard-cores N] [--shard-scale X] [--out PATH]\n");
+                   "[--out PATH]\n");
       return 2;
     }
   }
@@ -143,94 +114,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Shard scaling: the same machine sharded across host threads must
-  // produce the same bits faster. Wall time per shard count sums the
-  // SCTR and MCTR GLock runs on the big machine; speedups are relative
-  // to the one-shard (serial-scan) run of this same section.
-  const unsigned host_threads = std::thread::hardware_concurrency();
-  const std::uint32_t shard_counts[] = {1, 2, 4, 8};
-  double shard_wall[4] = {0, 0, 0, 0};
-  bool shard_identical = true;
-  std::printf("\nshard scaling: {SCTR, MCTR} x GLock at %u cores, scale "
-              "%.2f (host threads: %u)\n",
-              shard_cores, shard_scale, host_threads);
-  std::printf("%-7s %10s %8s  %s\n", "shards", "wall_s", "speedup",
-              "agree");
-  std::vector<harness::RunResult> shard_base;
-  for (std::size_t si = 0; si < std::size(shard_counts); ++si) {
-    bool agree = true;
-    std::size_t wi = 0;
-    for (const char* wl : {"SCTR", "MCTR"}) {
-      const auto r = run_point(wl, locks::LockKind::kGlock, shard_cores,
-                               shard_scale, EngineMode::kEventDriven,
-                               shard_counts[si]);
-      shard_wall[si] += r.perf.wall_seconds;
-      if (si == 0) {
-        shard_base.push_back(r);
-      } else {
-        agree = agree && same_results(shard_base[wi], r);
-      }
-      ++wi;
-    }
-    shard_identical = shard_identical && agree;
-    std::printf("%-7u %10.3f %7.2fx  %s\n", shard_counts[si],
-                shard_wall[si],
-                shard_wall[0] / (shard_wall[si] > 0 ? shard_wall[si] : 1e-9),
-                agree ? "yes" : "NO — RESULTS DIVERGED");
-  }
-  identical = identical && shard_identical;
-
-  // Ownership-map comparison: the same 4-shard machine under each
-  // tile->shard map policy. Bits must match the serial scan under every
-  // map; the busy-ns imbalance ratio (max/mean across shards) is what
-  // the profile balancer exists to shrink, so the perf-smoke gate
-  // compares profile's against block's.
-  constexpr std::uint32_t kMapShards = 4;
-  constexpr ShardMapPolicy kMaps[] = {
-      ShardMapPolicy::kBlock, ShardMapPolicy::kStripe,
-      ShardMapPolicy::kQuad, ShardMapPolicy::kProfile};
-  constexpr const char* kMapNames[] = {"block", "stripe", "quad",
-                                       "profile"};
-  double map_wall[4] = {0, 0, 0, 0};
-  double map_imbalance[4] = {0, 0, 0, 0};
-  bool map_identical = true;
-  std::printf("\nshard maps: {SCTR, MCTR} x GLock at %u cores, %u shards\n",
-              shard_cores, kMapShards);
-  std::printf("%-8s %10s %10s  %s\n", "map", "wall_s", "imbalance",
-              "agree");
-  for (std::size_t mi = 0; mi < std::size(kMaps); ++mi) {
-    bool agree = true;
-    std::vector<std::uint64_t> busy;
-    std::size_t wi = 0;
-    for (const char* wl : {"SCTR", "MCTR"}) {
-      const auto r = run_point(wl, locks::LockKind::kGlock, shard_cores,
-                               shard_scale, EngineMode::kEventDriven,
-                               kMapShards, kMaps[mi]);
-      map_wall[mi] += r.perf.wall_seconds;
-      agree = agree && same_results(shard_base[wi], r);
-      if (busy.size() < r.perf.shard.shard_busy_ns.size()) {
-        busy.resize(r.perf.shard.shard_busy_ns.size(), 0);
-      }
-      for (std::size_t s = 0; s < r.perf.shard.shard_busy_ns.size(); ++s) {
-        busy[s] += r.perf.shard.shard_busy_ns[s];
-      }
-      ++wi;
-    }
-    std::uint64_t total = 0, peak = 0;
-    for (const std::uint64_t b : busy) {
-      total += b;
-      if (b > peak) peak = b;
-    }
-    map_imbalance[mi] =
-        total > 0 ? static_cast<double>(peak) * busy.size() /
-                        static_cast<double>(total)
-                  : 0.0;
-    map_identical = map_identical && agree;
-    std::printf("%-8s %10.3f %9.3fx  %s\n", kMapNames[mi], map_wall[mi],
-                map_imbalance[mi], agree ? "yes" : "NO — RESULTS DIVERGED");
-  }
-  identical = identical && map_identical;
-
   const double speedup =
       event_agg.wall_seconds > 0
           ? serial_agg.wall_seconds / event_agg.wall_seconds
@@ -248,9 +131,9 @@ int main(int argc, char** argv) {
   json.precision(6);
   json << "{\n";
   json << "  \"bench\": \"sim_throughput\",\n";
-  // v2: SimPerf payloads carry shard_exec + aggregated slot totals with
-  // the ten hottest slots instead of the full per-slot array.
-  json << "  \"format_version\": 2,\n";
+  // v3: SimPerf payloads carry aggregated slot totals with the ten
+  // hottest slots instead of the full per-slot array.
+  json << "  \"format_version\": 3,\n";
   json << "  \"cores\": " << cores << ",\n";
   json << "  \"scale\": " << scale << ",\n";
   json << "  \"grid_points\": " << reg.size() * 2 << ",\n";
@@ -261,32 +144,6 @@ int main(int argc, char** argv) {
   // first-match json_field extraction reads this one.
   json << "  \"express_hit_rate\": " << event_agg.msg.express_hit_rate()
        << ",\n";
-  // Shard-scaling block: host_threads records what parallelism the
-  // measuring machine actually had, so a reader (and the perf-smoke
-  // gate) can judge whether the speedups mean anything.
-  json << "  \"host_threads\": " << host_threads << ",\n";
-  json << "  \"shard_cores\": " << shard_cores << ",\n";
-  json << "  \"shard_scale\": " << shard_scale << ",\n";
-  json << "  \"shard_identical\": " << (shard_identical ? "true" : "false")
-       << ",\n";
-  // True when the host lacks the parallelism (2x the shard count) to
-  // make the sharded wall times meaningful — workers time-slice, so the
-  // speedup and imbalance numbers are advisory, not gateable.
-  json << "  \"shard_numbers_advisory\": "
-       << (host_threads < 2 * kMapShards ? "true" : "false") << ",\n";
-  for (std::size_t si = 1; si < std::size(shard_counts); ++si) {
-    json << "  \"shard_speedup_" << shard_counts[si] << "\": "
-         << (shard_wall[si] > 0 ? shard_wall[0] / shard_wall[si] : 0.0)
-         << ",\n";
-  }
-  json << "  \"map_identical\": " << (map_identical ? "true" : "false")
-       << ",\n";
-  for (std::size_t mi = 0; mi < std::size(kMaps); ++mi) {
-    json << "  \"map_wall_s_" << kMapNames[mi] << "\": " << map_wall[mi]
-         << ",\n";
-    json << "  \"imbalance_" << kMapNames[mi] << "\": " << map_imbalance[mi]
-         << ",\n";
-  }
   json << "  \"serial\": ";
   serial_agg.write_json(json, 2);
   json << ",\n  \"event\": ";

@@ -1,30 +1,20 @@
 #!/usr/bin/env bash
-# ThreadSanitizer gate for both layers of host parallelism.
+# ThreadSanitizer gate for the simulator's host parallelism.
 #
-# Two distinct thread populations exist in the simulator. src/exec fans
-# independent runs out across pool workers; src/sim/shard.cpp shards ONE
-# machine across workers in lockstep (the mesh staging buffers, pool
-# spinlock, and atomic counters all exist for that). This script builds
-# the suites that exercise both under -DGLOCKS_SANITIZE=thread and runs
-# them twice — once serial-machine (the historical gate) and once with
-# GLOCKS_SHARDS=4 so every determinism/soak workload drives the sharded
-# engine under the race detector:
+# One simulated machine runs on one host thread; src/exec fans
+# independent runs out across pool workers (--jobs). This script builds
+# the suites that run whole machines concurrently under
+# -DGLOCKS_SANITIZE=thread and runs them:
 #
 #   exec_pool_test          pool/queue/emitter semantics
 #   determinism_test        parallel sweeps byte-identical to serial, and
 #                           the sweep-resume manifest from pool threads
 #   soak_test               whole machines running concurrently on pool
-#                           threads (checkpoint churn + shard re-shard
-#                           churn)
+#                           threads (plus checkpoint churn)
 #   ckpt_test               archive/manifest units
 #   ckpt_equivalence_test   checkpoint/restore round trips
-#   shard_equivalence_test  every workload x {1,2,4,8} shards bit-equal,
-#                           cross-shard checkpoint restores (plain,
-#                           G-line-faulted, and mesh-faulted machines)
 #   mesh_fault_test         mesh link faults: ARQ under loss, dead-link
-#                           detours, e2e watchdog escalation — honors
-#                           GLOCKS_SHARDS, so the second pass drives the
-#                           mesh fault domain on sharded machines
+#                           detours, e2e watchdog escalation
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -36,36 +26,9 @@ cmake -B "$BUILD_DIR" -S . -DGLOCKS_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
       --target exec_pool_test determinism_test soak_test \
-               ckpt_test ckpt_equivalence_test shard_equivalence_test \
-               mesh_fault_test
-# --timeout: the shard-equivalence suite runs every workload at several
-# shard counts; under TSan on a slow host that legitimately exceeds
-# ctest's default 1500 s budget.
+               ckpt_test ckpt_equivalence_test mesh_fault_test
+# --timeout: every suite here runs whole workloads; under TSan on a slow
+# host that can legitimately exceed ctest's default 1500 s budget.
 ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 7200 \
-      -R '^(exec_pool_test|determinism_test|soak_test|ckpt_test|ckpt_equivalence_test|shard_equivalence_test|mesh_fault_test)$'
-# Second pass: the same machines sharded 4 ways in per-cycle lockstep
-# (GLOCKS_SHARD_WINDOW=1). The suites' assertions are shard-agnostic
-# (results are bit-identical by contract), so any new failure here is
-# either a data race TSan caught or a broken contract. mesh_fault_test
-# rides along so the mesh fault domain's coordinator-side judging runs
-# against sharded workers under the race detector.
-GLOCKS_SHARDS=4 GLOCKS_SHARD_WINDOW=1 \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 7200 \
-      -R '^(determinism_test|soak_test|mesh_fault_test)$'
-# Third pass: multi-cycle lookahead windows (GLOCKS_SHARD_WINDOW=0 =
-# auto). This drives the windowed kernel — per-shard local clocks, the
-# region-sharded mesh, boundary-flit staging taps, and the window-edge
-# merges — under the race detector; mesh_fault_test rides along to prove
-# the window gate's lockstep fallback on fault-armed fabrics.
-GLOCKS_SHARDS=4 GLOCKS_SHARD_WINDOW=0 \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 7200 \
-      -R '^(determinism_test|soak_test|mesh_fault_test)$'
-# Fourth pass: a non-contiguous tile->shard ownership map
-# (GLOCKS_SHARD_MAP=stripe interleaves adjacent tiles across shards), so
-# every mesh boundary tap, staging buffer, and express decline runs with
-# maximal cross-shard adjacency under the race detector — the worst case
-# for region-boundary races that contiguous bands never exercise.
-GLOCKS_SHARDS=4 GLOCKS_SHARD_MAP=stripe \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 7200 \
-      -R '^(determinism_test|soak_test|mesh_fault_test)$'
+      -R '^(exec_pool_test|determinism_test|soak_test|ckpt_test|ckpt_equivalence_test|mesh_fault_test)$'
 echo "TSan check passed."

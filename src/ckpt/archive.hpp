@@ -23,24 +23,17 @@ namespace glocks::ckpt {
 
 /// Current archive format version. Bump on any incompatible layout
 /// change; readers reject anything newer than this.
-inline constexpr std::uint32_t kFormatVersion = 6;
+inline constexpr std::uint32_t kFormatVersion = 7;
 
-/// Oldest version this build still reads. v6 added spin parking: the
-/// L1 sections carry the spin watch (address, park cycle, period) and
-/// the core sections the parked flag and the spun-on address. v5 added
-/// the shard ownership map to the meta section (the run spec's
-/// shard-map policy byte plus the full active tile->shard assignment
-/// and its provenance flag),
-/// which is what lets a restore replay at the exact recorded ownership
-/// map before re-mapping to the requested one. v4 added shard_window to
-/// the run spec and switched the mesh section's packet sequence state
-/// from one global counter to one stream per source tile (per-tile
-/// injection counts, which are invariant across execution strategies —
-/// the property that lets an archive restored at one shard count or
-/// window length re-checkpoint verifiably at another). Older archives
-/// would parse into garbage, so they get a clean up-front rejection
-/// instead of a confusing mid-parse kTruncated/kBadSection failure.
-inline constexpr std::uint32_t kMinFormatVersion = 6;
+/// Oldest version this build still reads. v7 dropped the intra-run
+/// parallel execution fields (host thread count, lookahead window, tile
+/// ownership policy) from the run spec and the active tile ownership map
+/// from the meta section. v6 added spin parking: the L1 sections carry
+/// the spin watch (address, park cycle, period) and the core sections the
+/// parked flag and the spun-on address. Older archives would parse into
+/// garbage, so they get a clean up-front rejection instead of a confusing
+/// mid-parse kTruncated/kBadSection failure.
+inline constexpr std::uint32_t kMinFormatVersion = 7;
 
 /// 8-byte file magic.
 inline constexpr char kMagic[8] = {'G', 'L', 'K', 'C', 'K', 'P', 'T', '\n'};

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,14 +48,6 @@ RunSpec load_run_spec(ArchiveReader& a);
 struct CkptMeta {
   Cycle cycle = 0;  ///< the cycle the machine was paused at
   RunSpec spec;
-  /// Active tile->shard ownership map at the pause (empty when the run
-  /// was serial). Restores pin the replay to it so archive bytes (which
-  /// depend on the map through the express counters) reproduce exactly.
-  std::vector<std::uint32_t> tile_map;
-  /// True when `tile_map` came from the kProfile in-run warmup: the
-  /// replay must re-profile (deterministic at the recorded strategy)
-  /// instead of pinning, because the map was not active from cycle 0.
-  bool map_from_warmup = false;
 };
 
 /// Serializes `sys`, paused at `cycle`, into a complete archive.
@@ -92,19 +83,6 @@ harness::RunResult run_with_checkpoints(
 /// finishes before ever reaching the checkpoint cycle), then continues
 /// to completion. The result is bit-identical to an uninterrupted run of
 /// the same spec (tests/ckpt_equivalence_test.cpp).
-///
-/// The replay itself always runs at the checkpoint's recorded shard
-/// count, window length, and tile->shard ownership map (the archive
-/// bytes depend on them through the express-route counters; a recorded
-/// warmup-profiled map is reproduced by re-running the warmup rather
-/// than pinned, since it was not active from cycle 0); `shards`,
-/// `window`, and `map`, when set, take effect only after the replayed
-/// machine has been byte-verified — the tail then runs under the
-/// requested execution strategy, with a bit-identical result
-/// (tests/shard_equivalence_test.cpp).
-harness::RunResult restore_and_run(const std::string& path,
-                                   std::optional<std::uint32_t> shards = {},
-                                   std::optional<std::uint32_t> window = {},
-                                   std::optional<ShardMapPolicy> map = {});
+harness::RunResult restore_and_run(const std::string& path);
 
 }  // namespace glocks::ckpt

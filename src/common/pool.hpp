@@ -25,7 +25,6 @@
 // tests/msg_pool_test.cpp count every real heap trip.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -95,7 +94,6 @@ class Pool {
 
   /// Returns a node to the free list.  Called by PoolDeleter.
   void release(T* p) {
-    SpinGuard g(concurrent_ ? &spin_ : nullptr);
     GLOCKS_CHECK(stats_.outstanding > 0, "pool release without acquire");
     --stats_.outstanding;
     Node* node = reinterpret_cast<Node*>(p);
@@ -109,43 +107,13 @@ class Pool {
   void set_stats(const Stats& s) { stats_ = s; }
   void set_alloc_hook(AllocHook hook) { alloc_hook_ = std::move(hook); }
 
-  /// Sharded execution: components on different shard workers acquire
-  /// and release from the same pool, so guard the free list with a
-  /// spinlock while a shard plan is live. Off (the default) the hot
-  /// path stays lock-free; logical counters (acquires, outstanding)
-  /// remain deterministic either way, while the physical slab counters
-  /// (heap_allocs/heap_bytes/high_water) become interleaving-dependent
-  /// under contention — which is why checkpoints only serialize the
-  /// deterministic pair (see mem::Hierarchy::save).
-  void set_concurrent(bool on) { concurrent_ = on; }
-
  private:
   union Node {
     Node* next;
     alignas(T) unsigned char storage[sizeof(T)];
   };
 
-  /// Scoped test-and-set spinlock; no-op when handed nullptr.
-  class SpinGuard {
-   public:
-    explicit SpinGuard(std::atomic_flag* f) : f_(f) {
-      if (f_ != nullptr) {
-        while (f_->test_and_set(std::memory_order_acquire)) {
-        }
-      }
-    }
-    ~SpinGuard() {
-      if (f_ != nullptr) f_->clear(std::memory_order_release);
-    }
-    SpinGuard(const SpinGuard&) = delete;
-    SpinGuard& operator=(const SpinGuard&) = delete;
-
-   private:
-    std::atomic_flag* f_;
-  };
-
   void* raw_node() {
-    SpinGuard g(concurrent_ ? &spin_ : nullptr);
     ++stats_.acquires;
     ++stats_.outstanding;
     if (stats_.outstanding > stats_.high_water) {
@@ -179,8 +147,6 @@ class Pool {
   std::size_t next_slab_nodes_;
   Stats stats_;
   AllocHook alloc_hook_;
-  bool concurrent_ = false;
-  std::atomic_flag spin_ = ATOMIC_FLAG_INIT;
 };
 
 template <typename T>

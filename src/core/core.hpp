@@ -35,20 +35,6 @@ class Core final : public sim::Component {
 
   bool bound() const { return ctx_ != nullptr; }
   bool finished() const { return ctx_ == nullptr || ctx_->finished; }
-  /// True while the bound thread sits in a memory-side wait that a mesh
-  /// delivery could resolve (kMem / kSbWait / kQolbAcq / kQolbRel). The
-  /// window planner must then bound lookahead windows by the earliest
-  /// possible sink delivery. Architectural state only — dormancy is an
-  /// execution detail and ctx_->wait is unchanged by it — so replays
-  /// answer identically at every window-start cycle.
-  bool in_memory_wait() const {
-    if (ctx_ == nullptr || ctx_->finished) return false;
-    const ThreadContext::Wait w = ctx_->wait;
-    return w == ThreadContext::Wait::kMem ||
-           w == ThreadContext::Wait::kSbWait ||
-           w == ThreadContext::Wait::kQolbAcq ||
-           w == ThreadContext::Wait::kQolbRel;
-  }
   /// True while the thread's spin_until is parked on its L1 line (the
   /// wait state stays kMem, as for a load in flight).
   bool parked() const { return parked_; }

@@ -128,10 +128,6 @@ void run_sweep(const SweepSpec& spec, std::ostream& os,
     const GridPoint& p = grid[i];
     harness::RunConfig cfg;
     cfg.cmp.num_cores = p.cores;
-    cfg.cmp.num_shards = spec.num_shards;
-    cfg.cmp.shard_window = spec.shard_window;
-    cfg.cmp.shard_map = spec.shard_map;
-    cfg.cmp.shard_map_file = spec.shard_map_file;
     cfg.policy.highly_contended = p.kind;
     cfg.seed = p.seed;
     if (spec.fault.any()) {

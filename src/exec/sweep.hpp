@@ -25,24 +25,6 @@ struct SweepSpec {
   std::vector<std::uint64_t> seeds = {1};
   double scale = 1.0;
   unsigned jobs = 1;  ///< worker threads; 1 = strictly serial
-  /// Shards each grid point's machine runs on (--shards). Like `jobs`
-  /// this is pure execution strategy — rows are bit-identical for every
-  /// value — so it is likewise excluded from sweep_signature() and a
-  /// manifest-resumed sweep may change it freely.
-  std::uint32_t num_shards = 1;
-  /// Conservative-lookahead window length for the sharded kernel
-  /// (--shard-window; see CmpConfig::shard_window). Execution strategy
-  /// like num_shards: excluded from sweep_signature(), free to change
-  /// across a manifest resume.
-  std::uint32_t shard_window = 0;
-  /// Tile->shard ownership policy and optional map file applied to
-  /// every grid point (--shard-map / --shard-map-file; see
-  /// CmpConfig::shard_map). Execution strategy like num_shards:
-  /// excluded from sweep_signature(). With the profile policy and a map
-  /// file, the first job to finish its warmup persists the map and
-  /// later jobs load it — one profiling pass for the whole sweep.
-  ShardMapPolicy shard_map = ShardMapPolicy::kBlock;
-  std::string shard_map_file;
   /// Fault-injection plan applied to every grid point (--faults). When
   /// enabled, each point derives its own injector seed from (fault.seed,
   /// workload seed), the CSV gains the fault columns, and the guarded

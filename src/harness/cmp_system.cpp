@@ -1,10 +1,8 @@
 #include "harness/cmp_system.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/check.hpp"
-#include "sim/shard.hpp"
 
 namespace glocks::harness {
 
@@ -90,228 +88,13 @@ CmpSystem::CmpSystem(const CmpConfig& cfg)
           [this] { return mesh_.fault_context(); });
     }
   }
-  set_shards(cfg_.num_shards);
-}
-
-void CmpSystem::set_shards(std::uint32_t n) {
-  const std::uint32_t shards = std::min(std::max<std::uint32_t>(n, 1),
-                                        cfg_.num_cores);
-  if (shards <= 1) {
-    engine_.set_shard_plan({});
-    mesh_.set_sharding(1, {});
-    hierarchy_.msg_pool().set_concurrent(false);
-    tile_map_.clear();
-    profile_pending_ = false;
-    profile_warmup_ = false;
-    return;
-  }
-  install_shard_plan(shards);
-}
-
-void CmpSystem::set_shard_map(ShardMapPolicy p) {
-  const bool pinned = !cfg_.shard_map_pin.empty();
-  cfg_.shard_map_pin.clear();
-  if (cfg_.shard_map == p && !pinned) return;
-  cfg_.shard_map = p;
-  // Reinstall between cycles; a no-op on the serial scan (the map only
-  // matters when sharded).
-  set_shards(engine_.num_shards());
-}
-
-std::vector<std::uint32_t> CmpSystem::resolve_tile_map(
-    std::uint32_t shards) {
-  const std::uint32_t tiles = cfg_.mesh_tiles();
-  profile_pending_ = false;
-  profile_warmup_ = false;
-  if (!cfg_.shard_map_pin.empty()) {
-    // A restore pin replays the archived ownership map exactly — but
-    // only when it fits this machine and shard count (re-sharding after
-    // the byte verification legitimately invalidates it).
-    const auto& pin = cfg_.shard_map_pin;
-    bool ok = pin.size() == tiles;
-    std::vector<std::uint32_t> count(shards, 0);
-    if (ok) {
-      for (std::uint32_t t = 0; t < tiles; ++t) {
-        if (pin[t] >= shards) {
-          ok = false;
-          break;
-        }
-        if (t < cfg_.num_cores) ++count[pin[t]];  // core tiles carry slots
-      }
-    }
-    if (ok) {
-      for (const std::uint32_t c : count) ok = ok && c > 0;
-    }
-    if (ok) return pin;
-  }
-  if (cfg_.shard_map == ShardMapPolicy::kProfile) {
-    if (!profiled_map_.empty() && profiled_shards_ == shards) {
-      profile_warmup_ = profiled_from_warmup_;
-      return profiled_map_;
-    }
-    if (!cfg_.shard_map_file.empty()) {
-      if (auto m = sim::load_shard_map(cfg_.shard_map_file, tiles, shards)) {
-        profiled_map_ = std::move(*m);
-        profiled_shards_ = shards;
-        profiled_from_warmup_ = false;
-        return profiled_map_;
-      }
-    }
-    // No usable map yet: warm up on the block split; run() rebalances
-    // from the live activity counters after kProfileWarmupCycles.
-    profile_pending_ = true;
-    return sim::build_shard_map(ShardMapPolicy::kBlock, tiles,
-                                cfg_.num_cores, cfg_.mesh_width(), shards);
-  }
-  return sim::build_shard_map(cfg_.shard_map, tiles, cfg_.num_cores,
-                              cfg_.mesh_width(), shards);
-}
-
-std::vector<std::uint64_t> CmpSystem::tile_costs() const {
-  const std::uint32_t tiles = cfg_.mesh_tiles();
-  const std::uint32_t n = cfg_.num_cores;
-  std::vector<std::uint64_t> cost(tiles, 0);
-  // Slot layout as in install_shard_plan: tile t's engine work is its
-  // dir, sb, qolb, and L1 slots plus its core slot; router-only tiles
-  // only ever accrue mesh work.
-  const auto& slots = engine_.slot_perf();
-  if (slots.size() == 5ull * n + 3) {
-    for (std::uint32_t t = 0; t < n; ++t) {
-      cost[t] = slots[t].ticks + slots[n + t].ticks +
-                slots[2ull * n + t].ticks + slots[3ull * n + t].ticks +
-                slots[4ull * n + 1 + t].ticks;
-    }
-  }
-  const auto& work = mesh_.tile_work();
-  for (std::uint32_t t = 0; t < tiles; ++t) cost[t] += work[t];
-  return cost;
-}
-
-void CmpSystem::rebalance_from_profile() {
-  const std::uint32_t shards = engine_.num_shards();
-  profile_pending_ = false;
-  if (shards <= 1) return;
-  profiled_map_ = sim::build_profile_map(tile_costs(), cfg_.num_cores,
-                                         cfg_.mesh_width(), shards);
-  profiled_shards_ = shards;
-  profiled_from_warmup_ = true;
-  if (!cfg_.shard_map_file.empty()) {
-    // Best-effort persist so sweeps reuse one profiling pass; a failed
-    // write only costs the next run its own warmup.
-    sim::save_shard_map(cfg_.shard_map_file, profiled_map_, shards);
-  }
-  install_shard_plan(shards);
-}
-
-void CmpSystem::set_shard_window(std::uint32_t w) {
-  if (cfg_.shard_window == w) return;
-  cfg_.shard_window = w;
-  // Reinstall the plan so the engine/mesh pick the new window mode up;
-  // a no-op for the serial scan (the knob only matters when sharded).
-  set_shards(engine_.num_shards());
-}
-
-void CmpSystem::install_shard_plan(std::uint32_t shards) {
-  // Slot layout (fixed by the constructor above and the hierarchy):
-  // dirs [0, N), sbs [N, 2N), qolbs [2N, 3N), l1s [3N, 4N), mesh 4N,
-  // cores [4N+1, 5N+1), glines 5N+1, census 5N+2. Tile t's components
-  // and core all live in one shard (whatever the ownership map says —
-  // same-tile delivery bypasses the mesh, so they must share a worker);
-  // the mesh is the coordinator (the one component spanning every
-  // tile); the G-line network and census resolve at the epoch boundary
-  // — which is what keeps the fault injector's pure-hash-of-
-  // (seed,wire,cycle) contract intact with no code changes there.
-  const std::uint32_t n = cfg_.num_cores;
-  const std::size_t expected = 5ull * n + 3;
-  GLOCKS_CHECK(engine_.num_slots() == expected,
-               "shard plan layout drifted: " << engine_.num_slots()
-                                             << " slots, expected "
-                                             << expected);
-  std::vector<std::uint32_t> tile_shard = resolve_tile_map(shards);
-  tile_map_ = tile_shard;
-  sim::ShardPlan plan;
-  plan.num_shards = shards;
-  plan.owner.assign(engine_.num_slots(), sim::ShardPlan::kSequential);
-  for (CoreId t = 0; t < n; ++t) {
-    const std::uint32_t s = tile_shard[t];  // core t lives on tile t
-    plan.owner[t] = s;           // dir
-    plan.owner[n + t] = s;       // sb
-    plan.owner[2ull * n + t] = s;  // qolb
-    plan.owner[3ull * n + t] = s;  // l1
-    plan.owner[4ull * n + 1 + t] = s;  // core
-  }
-  plan.owner[4ull * n] = sim::ShardPlan::kCoordinator;  // mesh
-  // glines (5N+1) and census (5N+2) stay kSequential.
-
-  // Multi-cycle lookahead windows need the mesh region layer. They are
-  // available whenever the fault domain is off (fault routing is global
-  // state the regions cannot partition) and the engine idle-skips
-  // (windows are built on local-clock jumps); --shard-window 1 opts a
-  // run back into pure per-cycle lockstep.
-  const Cycle per_hop = cfg_.noc.router_latency + cfg_.noc.link_latency;
-  const bool window_capable =
-      cfg_.shard_window != 1 && !cfg_.fault.mesh.enabled &&
-      cfg_.engine_mode == EngineMode::kEventDriven && per_hop >= 1;
-  plan.window = window_capable ? cfg_.shard_window : 1;
-  plan.horizon =
-      sim::lookahead_horizon(tile_shard, cfg_.mesh_width(), per_hop);
-  if (window_capable) {
-    // Region sharding cannot carry analytic express flights; fold any
-    // live ones back into router state first (bit-identical either way —
-    // that is the express contract).
-    mesh_.materialize_expresses(engine_.now());
-  }
-  mesh_.set_sharding(shards, std::move(tile_shard), window_capable);
-  hierarchy_.msg_pool().set_concurrent(true);
-
-  sim::ShardHooks hooks;
-  hooks.pre_coordinator = [this] { mesh_.flush_staged(); };
-  hooks.post_waves = [this] { mesh_.flush_staged(); };
-  if (window_capable) {
-    hooks.window_limits = [this](Cycle now) {
-      return mesh_.window_limits(now);
-    };
-    hooks.begin_window = [this](Cycle start, Cycle end) {
-      mesh_.begin_window(start, end);
-    };
-    hooks.tick_region = [this](std::uint32_t shard, Cycle now) {
-      mesh_.tick_region(shard, now);
-    };
-    hooks.region_busy = [this](std::uint32_t shard) {
-      return mesh_.region_busy(shard);
-    };
-    hooks.end_window = [this](Cycle end) { return mesh_.end_window(end); };
-    hooks.mem_waiters = [this] {
-      for (const auto& c : cores_) {
-        if (c->in_memory_wait()) return true;
-      }
-      return false;
-    };
-  }
-  engine_.set_shard_plan(std::move(plan), std::move(hooks));
 }
 
 std::string CmpSystem::hang_report() const {
   std::ostringstream oss;
-  const std::uint32_t shards = engine_.num_shards();
-  if (shards > 1) {
-    oss << "sharded: " << shards << " shards, map "
-        << sim::shard_map_name(cfg_.shard_map)
-        << (!cfg_.shard_map_pin.empty() ? " (pinned)" : "") << ", epoch "
-        << engine_.shard_epoch() << ", barrier clock @" << engine_.now()
-        << "\n";
-  }
   oss << "cores (wait-state, lock registers):\n";
   for (const auto& c : cores_) {
     oss << "  core " << c->id() << ": ";
-    if (shards > 1) {
-      // The ACTIVE assignment — under arbitrary maps the stuck tile's
-      // owner is not derivable from its id.
-      const std::uint32_t s = c->id() < tile_map_.size()
-                                  ? tile_map_[c->id()]
-                                  : shard_of_core(c->id(), shards);
-      oss << "[tile " << c->id() << " -> shard " << s << "] ";
-    }
     if (c->finished()) {
       oss << "finished\n";
       continue;
@@ -348,9 +131,6 @@ std::string CmpSystem::hang_report() const {
 }
 
 void CmpSystem::attach_tracer(trace::Tracer& tracer) {
-  GLOCKS_CHECK(engine_.num_shards() <= 1,
-               "tracing requires --shards 1: trace events are appended "
-               "from core ticks, which run on shard workers");
   for (auto& c : cores_) {
     c->context().tracer = &tracer;
     c->context().engine = &engine_;
@@ -373,45 +153,22 @@ Cycle CmpSystem::run(const std::vector<Cycle>& pause_at,
     if (c->bound()) ++bound;
   }
   const auto done = [this, bound] { return finished_count_ == bound; };
-  // Profile warmup: a kProfile machine with no usable map starts on the
-  // block split and pauses here, once, to rebalance from the live
-  // activity counters. The pause cycle is relative to the run start, so
-  // a checkpoint replay (which re-runs the same warmup at the same
-  // shard count) reproduces the re-map — and its archive bytes —
-  // exactly.
-  constexpr Cycle kProfileWarmupCycles = 10000;
-  Cycle profile_at = profile_pending_ && engine_.num_shards() > 1
-                         ? engine_.now() + kProfileWarmupCycles
-                         : kNoCycle;
   Cycle end = 0;
   std::size_t next = 0;
   for (;;) {
-    const Cycle ext = next < pause_at.size() ? pause_at[next] : kNoCycle;
-    if (ext != kNoCycle && ext <= engine_.now()) {
-      ++next;  // stale pause point, already passed
-      continue;
-    }
-    const Cycle stop = std::min(ext, profile_at);
-    if (stop == kNoCycle) {
+    if (next == pause_at.size()) {
       end = engine_.run_until(done, cfg_.max_cycles);
       break;
     }
-    end = engine_.run_until_or_pause(done, cfg_.max_cycles, stop);
+    const Cycle ext = pause_at[next];
+    if (ext <= engine_.now()) {
+      ++next;  // stale pause point, already passed
+      continue;
+    }
+    end = engine_.run_until_or_pause(done, cfg_.max_cycles, ext);
     if (done()) break;
-    if (profile_at != kNoCycle && engine_.now() >= profile_at) {
-      profile_at = kNoCycle;
-      rebalance_from_profile();
-    }
-    if (ext != kNoCycle && engine_.now() >= ext) {
-      ++next;
-      if (on_pause) on_pause(engine_.now());
-      // A pause handler may have re-sharded into kProfile with no map
-      // yet (a restore re-mapping the tail): arm a fresh warmup.
-      if (profile_pending_ && profile_at == kNoCycle &&
-          engine_.num_shards() > 1) {
-        profile_at = engine_.now() + kProfileWarmupCycles;
-      }
-    }
+    ++next;
+    if (on_pause) on_pause(engine_.now());
   }
   // Drain writebacks / in-flight protocol messages so post-run memory
   // verification sees settled state. The budget scales with the machine

@@ -8,7 +8,6 @@
 // requester count maintained in the acquire wrapper.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,12 +22,8 @@ namespace glocks::locks {
 
 struct LockStats {
   std::string name;                     ///< for reports ("L1", "task-q"...)
-  /// Sampled by ContentionCensus. Atomic (relaxed) because under sharded
-  /// execution cores on different shard workers enter/leave the acquire
-  /// wrapper within one wave; the census itself samples at the epoch
-  /// boundary with every worker parked, so the *value* it reads is
-  /// deterministic — the atomic only keeps the concurrent ++/-- exact.
-  std::atomic<std::uint32_t> current_requesters{0};
+  /// Threads inside the acquire wrapper; sampled by ContentionCensus.
+  std::uint32_t current_requesters = 0;
   std::uint64_t acquires = 0;
   std::uint64_t releases = 0;
   /// Per-thread acquire counts (grown on demand); feeds the fairness

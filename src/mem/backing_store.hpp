@@ -6,7 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -17,30 +16,21 @@
 
 namespace glocks::mem {
 
-// Under sharded execution, directory slices on different shard workers
-// hit the store concurrently (L2 misses, writebacks in the same wave),
-// so every access takes the mutex. Accesses are rare — each models a
-// hundreds-of-cycles DRAM trip — and different shards always touch
-// different lines within a wave (a line has one home directory, owned
-// by one shard), so the lock only serializes the map structure itself.
 class BackingStore {
  public:
   /// Reads a full line; untouched memory reads as zero.
   LineData read_line(Addr line) const {
-    std::lock_guard<std::mutex> g(mu_);
     auto it = lines_.find(line);
     return it == lines_.end() ? LineData{} : it->second;
   }
 
   void write_line(Addr line, const LineData& data) {
-    std::lock_guard<std::mutex> g(mu_);
     lines_[line] = data;
   }
 
   /// Direct word access for test/workload setup (no timing, no coherence).
   Word peek(Addr addr) const {
     GLOCKS_CHECK(addr % sizeof(Word) == 0, "unaligned peek at " << addr);
-    std::lock_guard<std::mutex> g(mu_);
     const auto it = lines_.find(line_of(addr));
     if (it == lines_.end()) return 0;
     return it->second[line_offset(addr) / sizeof(Word)];
@@ -48,19 +38,16 @@ class BackingStore {
 
   void poke(Addr addr, Word value) {
     GLOCKS_CHECK(addr % sizeof(Word) == 0, "unaligned poke at " << addr);
-    std::lock_guard<std::mutex> g(mu_);
     lines_[line_of(addr)][line_offset(addr) / sizeof(Word)] = value;
   }
 
   std::size_t touched_lines() const {
-    std::lock_guard<std::mutex> g(mu_);
     return lines_.size();
   }
 
   /// Checkpoint: touched lines in sorted address order (the map's own
   /// iteration order is not canonical, so it never reaches the archive).
   void save(ckpt::ArchiveWriter& a) const {
-    std::lock_guard<std::mutex> g(mu_);
     std::vector<Addr> keys;
     keys.reserve(lines_.size());
     for (const auto& [line, data] : lines_) keys.push_back(line);
@@ -73,7 +60,6 @@ class BackingStore {
   }
 
   void load(ckpt::ArchiveReader& a) {
-    std::lock_guard<std::mutex> g(mu_);
     lines_.clear();
     const std::uint64_t n = a.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -85,7 +71,6 @@ class BackingStore {
   }
 
  private:
-  mutable std::mutex mu_;
   std::unordered_map<Addr, LineData> lines_;
 };
 

@@ -225,11 +225,8 @@ void Hierarchy::save(ckpt::ArchiveWriter& a) const {
   for (const auto& sb : sbs_) sb->save(a);
   for (const auto& q : qolbs_) q->save(a);
   // Only the *logical* pool counters reach the archive. The physical
-  // ones (heap_allocs / heap_bytes / reuses / high_water) describe the
-  // host allocator, not the simulated machine, and under sharded
-  // execution they depend on how worker threads interleaved on the
-  // free-list spinlock — serializing them would make checkpoint bytes
-  // shard-count-dependent and break the equivalence contract.
+  // ones (heap_allocs / heap_bytes / reuses / high_water) describe this
+  // process's slabs, not the simulated machine (see load()).
   const CohMsgPool::Stats& ps = msg_pool_.stats();
   a.u64(ps.acquires);
   a.u64(ps.outstanding);

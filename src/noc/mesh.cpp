@@ -18,8 +18,7 @@ Mesh::Mesh(std::uint32_t num_tiles, std::uint32_t width, NocConfig cfg)
       cfg_(cfg),
       nics_(num_tiles),
       sinks_(num_tiles),
-      tile_seq_(num_tiles, 0),
-      tile_work_(num_tiles, 0) {
+      tile_seq_(num_tiles, 0) {
   GLOCKS_CHECK(width_ >= 1, "mesh width must be positive");
   const RouterTiming timing{cfg_.router_latency, cfg_.link_latency,
                             cfg_.input_queue_depth};
@@ -66,13 +65,6 @@ std::string Mesh::debug_dump() const {
   std::ostringstream oss;
   oss << "  in flight " << in_flight_ << " (" << express_.size()
       << " express)\n";
-  std::size_t staged_flits = 0;
-  for (const BoundaryLink& bl : blinks_) {
-    for (const auto& q : bl.staged) staged_flits += q.size();
-  }
-  if (staged_flits > 0) {
-    oss << "  boundary-staged flits " << staged_flits << "\n";
-  }
   for (std::uint32_t t = 0; t < nics_.size(); ++t) {
     std::size_t backlog = 0;
     for (const auto& outbox : nics_[t].outbox) backlog += outbox.size();
@@ -90,18 +82,8 @@ void Mesh::set_sink(CoreId tile, Router::Sink sink) {
   // dormancy decision below depends on it. The router ejects through the
   // same wrapper, so hop-by-hop and express deliveries are accounted
   // identically.
-  sinks_[tile] = [this, tile, s = std::move(sink)](Packet&& p) {
-    if (epoch_windowed_) {
-      // Inside a window the ejecting worker owns only its region's
-      // counters; the in-flight delta folds into the census at the
-      // barrier. epoch_windowed_ is set/cleared on the main thread
-      // around the crew waves, so workers read it race-free.
-      Region& r = regions_[tile_shard_[tile]];
-      --r.load;
-      --r.in_flight_delta;
-    } else {
-      --in_flight_;
-    }
+  sinks_[tile] = [this, s = std::move(sink)](Packet&& p) {
+    --in_flight_;
     s(std::move(p));
   };
   routers_[tile]->set_sink(
@@ -114,56 +96,6 @@ void Mesh::send(Packet&& p, Cycle now) {
   GLOCKS_CHECK(p.src != p.dst,
                "same-tile messages must bypass the mesh (tile " << p.src
                                                                 << ")");
-  if (num_shards_ > 1) {
-    if (const sim::WorkerScope* ws = sim::Engine::current_worker()) {
-      if (epoch_windowed_) {
-        // Windowed epoch: the worker owns its whole region, so the send
-        // enters its own tile's NIC directly — no barrier round-trip.
-        send_windowed(ws->shard, std::move(p));
-        return;
-      }
-      // Lockstep epoch: a shard worker may not touch the fabric; stage
-      // the send for the barrier flush. The per-shard buffer stays in
-      // ascending sender-slot order because each worker ticks its slots
-      // in order.
-      staged_[ws->shard].push_back(Staged{ws->slot, std::move(p), now});
-      return;
-    }
-  }
-  send_now(std::move(p), now);
-}
-
-void Mesh::stamp_seq(Packet& p) {
-  // Pooled payload nodes are reused, but a Packet's identity is its seq,
-  // stamped fresh for every injection — tracing stays unambiguous as
-  // long as a stream cannot wrap within a run. Streams are per source
-  // tile (tile in the top bits): tile T's k-th injection is the same
-  // logical packet under every execution strategy, so checkpoints stay
-  // byte-identical across shard counts and window lengths, and a
-  // windowed worker stamps its own tiles' sends without synchronization.
-#ifndef NDEBUG
-  GLOCKS_CHECK(tile_seq_[p.src] < (std::uint64_t{1} << 40),
-               "Packet::seq stream exhausted for tile " << p.src);
-#endif
-  p.seq = (static_cast<std::uint64_t>(p.src) << 40) | tile_seq_[p.src]++;
-}
-
-void Mesh::send_windowed(std::uint32_t shard, Packet&& p) {
-  GLOCKS_CHECK(tile_shard_[p.src] == shard,
-               "windowed send from tile " << p.src << " outside shard "
-                                          << shard);
-  stamp_seq(p);
-  Region& r = regions_[shard];
-  ++r.load;
-  ++r.in_flight_delta;
-  ++r.sent;
-  nics_[p.src].outbox[static_cast<std::size_t>(p.cls)].push_back(
-      std::move(p));
-  // No wake: the engine re-syncs the coordinator slot's activity from
-  // the folded census at the window boundary.
-}
-
-void Mesh::send_now(Packet&& p, Cycle now) {
   stamp_seq(p);
   const bool express = try_express(p, now);
   ++in_flight_;
@@ -171,6 +103,19 @@ void Mesh::send_now(Packet&& p, Cycle now) {
   auto& nic = nics_[p.src];
   nic.outbox[static_cast<std::size_t>(p.cls)].push_back(std::move(p));
   wake();  // a dormant mesh has new work (no-op when already active)
+}
+
+void Mesh::stamp_seq(Packet& p) {
+  // Pooled payload nodes are reused, but a Packet's identity is its seq,
+  // stamped fresh for every injection — tracing stays unambiguous as
+  // long as a stream cannot wrap within a run. Streams are per source
+  // tile (tile in the top bits), so tile T's k-th injection carries the
+  // same seq however the sends of different tiles interleave.
+#ifndef NDEBUG
+  GLOCKS_CHECK(tile_seq_[p.src] < (std::uint64_t{1} << 40),
+               "Packet::seq stream exhausted for tile " << p.src);
+#endif
+  p.seq = (static_cast<std::uint64_t>(p.src) << 40) | tile_seq_[p.src]++;
 }
 
 void Mesh::send(CoreId src, CoreId dst, MsgClass cls,
@@ -184,122 +129,6 @@ void Mesh::send(CoreId src, CoreId dst, MsgClass cls,
   p.payload = payload;
   p.kind = kind;
   send(std::move(p), now);
-}
-
-void Mesh::set_sharding(std::uint32_t num_shards,
-                        std::vector<std::uint32_t> tile_shard,
-                        bool window_capable) {
-  for (const auto& buf : staged_) {
-    GLOCKS_CHECK(buf.empty(), "set_sharding with staged sends pending");
-  }
-  GLOCKS_CHECK(!epoch_windowed_, "set_sharding inside a window");
-  for (const BoundaryLink& bl : blinks_) {
-    for (const auto& q : bl.staged) {
-      GLOCKS_CHECK(q.empty(), "set_sharding with staged boundary flits");
-    }
-  }
-  // Tear down any previous region plan (folding is a no-op between
-  // epochs — every delta folds at window/tick end — but keeps the
-  // totals right even on error paths).
-  if (window_mode_) fold_regions();
-  for (auto& r : routers_) {
-    r->clear_boundaries();
-    r->rebind_stats(&stats_);
-  }
-  regions_.clear();
-  blinks_.clear();
-  window_mode_ = false;
-  if (num_shards <= 1) {
-    num_shards_ = 1;
-    tile_shard_.clear();
-    staged_.clear();
-    return;
-  }
-  GLOCKS_CHECK(tile_shard.size() == nics_.size(),
-               "tile->shard map covers " << tile_shard.size() << " of "
-                                         << nics_.size() << " tiles");
-  num_shards_ = num_shards;
-  tile_shard_ = std::move(tile_shard);
-  staged_.assign(num_shards_, {});
-  if (!window_capable) return;
-
-  // Region plan: the fabric itself splits into per-shard tile blocks so
-  // windowed epochs can tick it in parallel.
-  GLOCKS_CHECK(fault_ == nullptr,
-               "window-capable sharding with the fault domain armed");
-  GLOCKS_CHECK(express_.empty(),
-               "window-capable sharding with live express flights "
-               "(materialize first)");
-  GLOCKS_CHECK(cfg_.router_latency + cfg_.link_latency >= 1,
-               "window-capable sharding needs a positive per-hop latency");
-  const auto tiles = static_cast<std::uint32_t>(nics_.size());
-  regions_.resize(num_shards_);
-  // Each region keeps its own ascending tile list — the ownership map
-  // may be arbitrary (stripes, quadrants, profile-balanced). Ascending
-  // ids per region preserve the serial tick order among a region's own
-  // tiles; cross-region order is irrelevant because regions only talk
-  // through the boundary taps.
-  for (std::uint32_t i = 0; i < tiles; ++i) {
-    GLOCKS_CHECK(tile_shard_[i] < num_shards_,
-                 "tile " << i << " owned by shard " << tile_shard_[i]
-                         << " of " << num_shards_);
-    regions_[tile_shard_[i]].tiles.push_back(i);
-  }
-  // Per-region stat buckets: concurrent region ticks record into their
-  // own bucket; fold_regions moves them into the shared totals at every
-  // barrier, so end-of-run reads see exactly the serial counters.
-  // regions_ is sized once above — the bucket pointers stay valid.
-  for (std::uint32_t i = 0; i < tiles; ++i) {
-    routers_[i]->rebind_stats(&regions_[tile_shard_[i]].stats);
-  }
-  // Boundary taps on every directed cross-region link (same neighbor
-  // geometry as the constructor wiring).
-  for (std::uint32_t i = 0; i < tiles; ++i) {
-    const std::uint32_t x = i % width_;
-    const std::uint32_t y = i / width_;
-    const auto tap = [&](Dir d, std::uint32_t n) {
-      if (tile_shard_[n] == tile_shard_[i]) return;
-      BoundaryLink bl;
-      bl.src = i;
-      bl.dst = n;
-      bl.in = opposite(d);
-      blinks_.push_back(std::move(bl));
-      routers_[i]->set_boundary(
-          this, d, static_cast<std::int32_t>(blinks_.size() - 1));
-    };
-    if (x + 1 < width_ && i + 1 < tiles) tap(Dir::kEast, i + 1);
-    if (x > 0) tap(Dir::kWest, i - 1);
-    if (i + width_ < tiles) tap(Dir::kSouth, i + width_);
-    if (y > 0) tap(Dir::kNorth, i - width_);
-  }
-  window_mode_ = true;
-}
-
-void Mesh::flush_staged() {
-  // Replay in ascending global sender-slot order (k-way merge across the
-  // shard buffers; a sender slot lives in exactly one shard, so ties are
-  // impossible). This is the order the serial scan issues sends in, so
-  // seq stamping, express decisions, and NIC occupancy all match.
-  std::size_t remaining = 0;
-  for (const auto& buf : staged_) remaining += buf.size();
-  if (remaining == 0) return;
-  staged_sends_ += remaining;
-  std::vector<std::size_t> idx(staged_.size(), 0);
-  while (remaining > 0) {
-    std::size_t best = staged_.size();
-    std::uint32_t best_sender = 0xFFFFFFFFu;
-    for (std::size_t s = 0; s < staged_.size(); ++s) {
-      if (idx[s] < staged_[s].size() &&
-          staged_[s][idx[s]].sender_slot < best_sender) {
-        best_sender = staged_[s][idx[s]].sender_slot;
-        best = s;
-      }
-    }
-    Staged& st = staged_[best][idx[best]++];
-    send_now(std::move(st.pkt), st.now);
-    --remaining;
-  }
-  for (auto& buf : staged_) buf.clear();
 }
 
 Cycle Mesh::next_tick_at(Cycle now) const {
@@ -406,14 +235,6 @@ bool Mesh::route_conflicts(const Flight& cand) const {
 }
 
 bool Mesh::try_express(Packet& p, Cycle now) {
-  if (window_mode_) {
-    // Regions own the fabric under a window plan: an analytic flight
-    // would span shard state, so every send takes the physical path.
-    // (Windowed sends never reach here; their declines are tallied at
-    // the fold, so every send still counts exactly once.)
-    ++xperf_.declined;
-    return false;
-  }
   if (fault_ != nullptr) {
     // Faulted routes are not analytically rigid (fates, retransmissions
     // and detours all depend on the cycle-by-cycle state), so the fault
@@ -430,18 +251,6 @@ bool Mesh::try_express(Packet& p, Cycle now) {
   // empty; the first send that cannot be proven conflict-free demotes
   // every flight and the fabric continues hop-by-hop.
   if (!fabric_empty()) {
-    ++xperf_.declined;
-    return false;
-  }
-  if (num_shards_ > 1 && tile_shard_[p.src] != tile_shard_[p.dst]) {
-    // Boundary rule: a route crossing a shard boundary inside the
-    // current horizon is never fast-forwarded — the flush already
-    // serialized the send, and declining keeps the analytic ledger from
-    // ever spanning shards. Materialize first to preserve the standing
-    // invariant that flights exist only over an empty fabric. Timing is
-    // unchanged (the hop-by-hop path is exact); only the express
-    // counters differ from a single-shard run.
-    materialize_all(now);
     ++xperf_.declined;
     return false;
   }
@@ -611,8 +420,8 @@ void Mesh::tick(Cycle now) {
   // Fault-domain work precedes arbitration: scripted kills and guard
   // progression (ack completions, retransmission watchdogs, link
   // deaths) must be visible to this cycle's router scan. All of it runs
-  // here on the coordinator thread, in a fixed order, so faulted runs
-  // stay bit-identical across --jobs, --shards, and restore.
+  // here in a fixed order, so faulted runs stay bit-identical across
+  // --jobs and restore.
   if (fault_ != nullptr) fault_->advance(now);
   // NICs drain into routers first so an injection made during cycle N-1
   // (endpoint tick) can enter the router fabric at cycle N. Classes
@@ -630,17 +439,7 @@ void Mesh::tick(Cycle now) {
   // from inside a sink is injected next cycle on either path).
   deliver_due_express(now);
   for (std::uint32_t t = 0; t < routers_.size(); ++t) {
-    if (routers_[t]->occupancy() > 0) ++tile_work_[t];
     routers_[t]->tick(now);
-  }
-  if (window_mode_) {
-    // Lockstep epoch under a window plan: cross-region forwards were
-    // staged by the boundary taps (live capacity reads — exact). Deliver
-    // them now; every entry lands before its ready cycle and each input
-    // port has a single feeder, so next-cycle arbitration is
-    // byte-identical to the direct forward.
-    flush_boundary();
-    fold_regions();
   }
   // A non-empty fabric may move a packet any cycle (and backpressure
   // resolution has no wake signal), so only an empty one may sleep.
@@ -650,198 +449,7 @@ void Mesh::tick(Cycle now) {
   if (fault_ == nullptr && fabric_empty()) sleep();
 }
 
-sim::MeshWindowLimits Mesh::window_limits(Cycle now) const {
-  sim::MeshWindowLimits ml;
-  if (!window_mode_ || fault_ != nullptr) {
-    ml.lockstep = true;
-    return ml;
-  }
-  GLOCKS_CHECK(express_.empty(), "express flight under a window plan");
-  ml.busy = in_flight_ > 0;
-  if (!ml.busy) return ml;
-  // Busy fabric: a window stays exact until the first cycle a forward
-  // could physically cross a boundary (one hop: router + link latency)
-  // or a boundary FIFO could fill past its frozen base. The headroom
-  // clamp guarantees base + staged < depth at every in-window capacity
-  // check (at most one flit stages per link per cycle), so the taps
-  // never decline a forward the serial scan accepts.
-  const Cycle per_hop = cfg_.router_latency + cfg_.link_latency;
-  std::uint64_t headroom = ~std::uint64_t{0};
-  for (const BoundaryLink& bl : blinks_) {
-    for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
-      const std::uint32_t sz =
-          routers_[bl.dst]->queue_size(bl.in, static_cast<MsgClass>(c));
-      const std::uint64_t room =
-          sz >= cfg_.input_queue_depth ? 0 : cfg_.input_queue_depth - sz;
-      headroom = std::min(headroom, room);
-    }
-  }
-  if (headroom == 0) {
-    // A boundary FIFO is brim-full: a frozen-base check could decline a
-    // forward the live scan accepts (the FIFO may drain mid-window).
-    // Lockstep epochs read live state, so they are always exact.
-    ml.lockstep = true;
-    return ml;
-  }
-  ml.max_end = now + std::min<std::uint64_t>(per_hop, headroom);
-  // Conservative lower bound on the earliest sink delivery anywhere:
-  // the planner stops mem-waiter windows here so a delivery chain can
-  // never wake a core mid-window. A NIC-backlogged packet needs an
-  // inject (ready +1) and an ejection traversal; queued packets bound
-  // through their head ready cycles.
-  Cycle d = kNoCycle;
-  for (std::uint32_t t = 0; t < nics_.size(); ++t) {
-    for (const auto& outbox : nics_[t].outbox) {
-      if (!outbox.empty()) {
-        d = std::min(d, now + 1 + cfg_.router_latency);
-        break;
-      }
-    }
-    const Router& r = *routers_[t];
-    d = std::min(d, r.local_head_ready());
-    const Cycle ir = r.earliest_input_ready();
-    if (ir != kNoCycle) d = std::min(d, ir + cfg_.router_latency);
-  }
-  ml.delivery = d;
-  return ml;
-}
-
-void Mesh::begin_window(Cycle start, Cycle end) {
-  (void)start;
-  (void)end;
-  GLOCKS_CHECK(window_mode_ && !epoch_windowed_,
-               "begin_window without a region plan (or nested)");
-  // Region loads are recomputed from scratch so lockstep epochs (which
-  // move packets without touching them) need no bookkeeping.
-  for (Region& r : regions_) r.load = 0;
-  for (std::uint32_t t = 0; t < nics_.size(); ++t) {
-    std::uint64_t held = routers_[t]->occupancy();
-    for (const auto& outbox : nics_[t].outbox) held += outbox.size();
-    regions_[tile_shard_[t]].load += held;
-  }
-  for (BoundaryLink& bl : blinks_) {
-    for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
-      bl.base[c] =
-          routers_[bl.dst]->queue_size(bl.in, static_cast<MsgClass>(c));
-    }
-  }
-  epoch_windowed_ = true;
-}
-
-void Mesh::tick_region(std::uint32_t shard, Cycle now) {
-  Region& r = regions_[shard];
-  if (r.load == 0) return;
-  r.last_tick = now;
-  // Same per-cycle order as the serial mesh tick, restricted to the
-  // region's tiles: NIC drains first (so last cycle's sends can enter
-  // the fabric), then the routers in ascending tile order (the region
-  // list is ascending for any ownership map).
-  for (const std::uint32_t t : r.tiles) {
-    for (auto& outbox : nics_[t].outbox) {
-      while (!outbox.empty()) {
-        if (!routers_[t]->inject(std::move(outbox.front()), now)) break;
-        outbox.pop_front();
-      }
-    }
-  }
-  for (const std::uint32_t t : r.tiles) {
-    if (routers_[t]->occupancy() > 0) ++tile_work_[t];
-    routers_[t]->tick(now);
-  }
-}
-
-bool Mesh::end_window(Cycle end) {
-  (void)end;
-  GLOCKS_CHECK(epoch_windowed_, "end_window outside a window");
-  epoch_windowed_ = false;
-  flush_boundary();
-  fold_regions();
-  return in_flight_ > 0;
-}
-
-bool Mesh::boundary_can_accept(std::int32_t link, MsgClass cls) const {
-  const BoundaryLink& bl = blinks_[static_cast<std::size_t>(link)];
-  const auto c = static_cast<std::size_t>(cls);
-  // Windowed: frozen base (the downstream FIFO belongs to another
-  // thread). Lockstep: live depth — exactly what can_accept() reads.
-  const std::uint32_t queued =
-      epoch_windowed_ ? bl.base[c]
-                      : routers_[bl.dst]->queue_size(bl.in, cls);
-  return queued + bl.staged[c].size() < cfg_.input_queue_depth;
-}
-
-void Mesh::boundary_stage(std::int32_t link, Packet&& p, Cycle ready) {
-  BoundaryLink& bl = blinks_[static_cast<std::size_t>(link)];
-  if (epoch_windowed_) {
-    // The packet leaves the source region now; the destination region
-    // counts it when the flush delivers it.
-    --regions_[tile_shard_[bl.src]].load;
-  }
-  bl.staged[static_cast<std::size_t>(p.cls)].push_back(
-      StagedFlit{ready, std::move(p)});
-}
-
-void Mesh::flush_boundary() {
-  for (BoundaryLink& bl : blinks_) {
-    for (auto& q : bl.staged) {
-      for (StagedFlit& f : q) {
-        // Always before f.ready (windows are capped at the per-hop
-        // latency and lockstep flushes happen the same cycle), so the
-        // downstream arbitration sees exactly the serial entry.
-        routers_[bl.dst]->accept(bl.in, std::move(f.pkt), f.ready);
-        ++regions_[tile_shard_[bl.dst]].load;
-        ++boundary_flits_;
-      }
-      q.clear();
-    }
-  }
-}
-
-void Mesh::fold_regions() {
-  for (Region& r : regions_) {
-    in_flight_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(in_flight_) + r.in_flight_delta);
-    r.in_flight_delta = 0;
-    windowed_sends_ += r.sent;
-    // Every windowed send is a declined express (the physical path was
-    // taken from the start) — the tally-exactly-once invariant.
-    xperf_.declined += r.sent;
-    r.sent = 0;
-    if (r.last_tick != kNoCycle) {
-      last_tick_ = last_tick_ == kNoCycle
-                       ? r.last_tick
-                       : std::max(last_tick_, r.last_tick);
-    }
-    for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
-      const auto cls = static_cast<MsgClass>(c);
-      if (r.stats.bytes(cls) == 0 && r.stats.packets(cls) == 0 &&
-          r.stats.hops(cls) == 0) {
-        continue;
-      }
-      stats_.set(cls, stats_.bytes(cls) + r.stats.bytes(cls),
-                 stats_.packets(cls) + r.stats.packets(cls),
-                 stats_.hops(cls) + r.stats.hops(cls));
-      r.stats.set(cls, 0, 0, 0);
-    }
-  }
-}
-
 void Mesh::save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const {
-  // Checkpoints are taken between cycles, after the barrier hooks ran —
-  // the staging buffers must be empty, so the archive format needs no
-  // shard-dependent sections.
-  for (const auto& buf : staged_) {
-    GLOCKS_CHECK(buf.empty(), "mesh save with staged sends pending");
-  }
-  // Checkpoints land at window boundaries (the planner clamps every
-  // window at the pause cycle), so the boundary staging buffers are
-  // flushed and the archive needs no window-dependent sections.
-  GLOCKS_CHECK(!epoch_windowed_, "mesh save inside a window");
-  for (const BoundaryLink& bl : blinks_) {
-    for (const auto& q : bl.staged) {
-      GLOCKS_CHECK(q.empty(), "mesh save with staged boundary flits");
-    }
-  }
   for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
     const auto cls = static_cast<MsgClass>(c);
     a.u64(stats_.bytes(cls));

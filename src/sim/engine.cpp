@@ -1,38 +1,12 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
 #include <sstream>
 
 #include "ckpt/archive.hpp"
 #include "common/check.hpp"
 
 namespace glocks::sim {
-
-namespace {
-/// Set while this thread is executing a shard wave or window body;
-/// consulted by the wake/sleep paths so workers touch only their own
-/// shard's scheduling state.
-thread_local WorkerScope* tls_worker = nullptr;
-
-std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-}  // namespace
-
-const WorkerScope* Engine::current_worker() { return tls_worker; }
-
-Cycle Engine::now() const {
-  if (const WorkerScope* ws = tls_worker;
-      ws != nullptr && ws->engine == this) {
-    return ws->local_now;
-  }
-  return now_;
-}
 
 void Component::wake_at(Cycle at) {
   if (engine_ != nullptr) engine_->schedule(slot_, at);
@@ -46,12 +20,6 @@ Cycle Component::next_tick_cycle() const {
   GLOCKS_CHECK(engine_ != nullptr,
                "next_tick_cycle() on an unregistered component");
   const Engine& e = *engine_;
-  if (const WorkerScope* ws = tls_worker;
-      ws != nullptr && ws->engine == &e) {
-    // Inside a shard wave the scan cursor is this worker's current slot:
-    // everything at or before it has ticked this (local) cycle.
-    return slot_ <= ws->slot ? ws->local_now + 1 : ws->local_now;
-  }
   return (e.in_scan_ && slot_ <= e.scan_pos_) ? e.now_ + 1 : e.now_;
 }
 
@@ -63,38 +31,9 @@ void Component::sleep() {
 }
 
 void Engine::deactivate(std::uint32_t slot) {
-  if (WorkerScope* ws = tls_worker; ws != nullptr && ws->engine == this) {
-    GLOCKS_CHECK(plan_.owner[slot] == ws->shard,
-                 "sleep() on " << slot_perf_[slot].name
-                               << ", which shard " << ws->shard
-                               << " does not own");
-    Slot& s = slots_[slot];
-    if (s.active) {
-      s.active = false;
-      ShardState& sh = shard_states_[ws->shard];
-      if (is_wave_b(slot)) {
-        --sh.active_b;
-      } else {
-        --sh.active_a;
-      }
-    }
-    return;
-  }
   Slot& s = slots_[slot];
   if (!s.active) return;
   s.active = false;
-  if (!shard_states_.empty()) {
-    const std::uint32_t o = plan_.owner[slot];
-    if (o < plan_.num_shards) {
-      ShardState& sh = shard_states_[o];
-      if (is_wave_b(slot)) {
-        --sh.active_b;
-      } else {
-        --sh.active_a;
-      }
-      return;
-    }
-  }
   --num_active_;
 }
 
@@ -117,43 +56,19 @@ void Engine::add(Component& c, std::string_view name) {
 }
 
 void Engine::push_wake(std::uint32_t slot, Cycle at) {
-  std::vector<Wake>* h = &wakes_;
-  if (!shard_states_.empty()) {
-    const std::uint32_t o = plan_.owner[slot];
-    if (o < plan_.num_shards) {
-      h = is_wave_b(slot) ? &shard_states_[o].heap_b
-                          : &shard_states_[o].heap_a;
-    }
-  }
-  h->push_back(Wake{at, slot});
-  std::push_heap(h->begin(), h->end(), std::greater<>{});
+  wakes_.push_back(Wake{at, slot});
+  std::push_heap(wakes_.begin(), wakes_.end(), std::greater<>{});
 }
 
 void Engine::activate(std::uint32_t slot) {
   Slot& s = slots_[slot];
   if (s.active) return;
   s.active = true;
-  if (!shard_states_.empty()) {
-    const std::uint32_t o = plan_.owner[slot];
-    if (o < plan_.num_shards) {
-      ShardState& sh = shard_states_[o];
-      if (is_wave_b(slot)) {
-        ++sh.active_b;
-      } else {
-        ++sh.active_a;
-      }
-      return;
-    }
-  }
   ++num_active_;
 }
 
 void Engine::schedule(std::uint32_t slot, Cycle at) {
   if (mode_ != EngineMode::kEventDriven) return;
-  if (WorkerScope* ws = tls_worker; ws != nullptr && ws->engine == this) {
-    schedule_from_worker(*ws, slot, at);
-    return;
-  }
   GLOCKS_CHECK(at >= now_, "wake scheduled in the past: cycle "
                                << at << " < now " << now_ << " ("
                                << slot_perf_[slot].name << ")");
@@ -174,59 +89,6 @@ void Engine::schedule(std::uint32_t slot, Cycle at) {
   push_wake(slot, at);
 }
 
-void Engine::schedule_from_worker(WorkerScope& ws, std::uint32_t slot,
-                                  Cycle at) {
-  const Cycle local = ws.local_now;
-  GLOCKS_CHECK(at >= local, "wake scheduled in the past: cycle "
-                                << at << " < now " << local << " ("
-                                << slot_perf_[slot].name << ")");
-  ShardState& sh = shard_states_[ws.shard];
-  const std::uint32_t owner = plan_.owner[slot];
-  if (owner == ws.shard) {
-    // Own slot: every touched field has a single writer (this worker)
-    // until the next barrier, so heaps and active counts update in
-    // place — which is what lets a wake take effect *inside* a window.
-    ++sh.wakes_delta;
-    ++slot_perf_[slot].wakes;
-    slots_[slot].last_wake = at;
-    Cycle eff = at;
-    if (at == local && slot <= ws.slot) {
-      // The slot's tick for this local cycle already ran (or is the
-      // caller itself): serial N -> N+1 visibility bumps the wake.
-      eff = at + 1;
-    }
-    if (eff == local) {
-      Slot& s = slots_[slot];
-      if (!s.active) {
-        s.active = true;
-        if (is_wave_b(slot)) {
-          ++sh.active_b;
-        } else {
-          ++sh.active_a;
-        }
-      }
-      return;
-    }
-    auto& h = is_wave_b(slot) ? sh.heap_b : sh.heap_a;
-    h.push_back(Wake{eff, slot});
-    std::push_heap(h.begin(), h.end(), std::greater<>{});
-    return;
-  }
-  // The only legal cross-owner wakes target the serial slots: the mesh
-  // (which every tile feeds) and the epoch-boundary suffix. A wake for
-  // another shard's slot means a component reached across the boundary
-  // without going through the staged exchange — a determinism bug, so
-  // fail loudly rather than racing.
-  GLOCKS_CHECK(owner == ShardPlan::kCoordinator ||
-                   owner == ShardPlan::kSequential,
-               "cross-shard wake: " << slot_perf_[slot].name
-                                    << " is owned by shard " << owner
-                                    << " but was woken from shard "
-                                    << ws.shard << " ("
-                                    << slot_perf_[ws.slot].name << ")");
-  sh.cross.push_back(CrossWake{slot, at, ws.slot});
-}
-
 void Engine::activate_due() {
   while (!wakes_.empty() && wakes_.front().at <= now_) {
     const std::uint32_t slot = wakes_.front().slot;
@@ -236,592 +98,23 @@ void Engine::activate_due() {
   }
 }
 
-void Engine::activate_due_shard(ShardState& sh, Cycle t) {
-  auto drain = [&](std::vector<Wake>& h, std::size_t& cnt) {
-    while (!h.empty() && h.front().at <= t) {
-      const std::uint32_t slot = h.front().slot;
-      std::pop_heap(h.begin(), h.end(), std::greater<>{});
-      h.pop_back();
-      Slot& s = slots_[slot];
-      if (!s.active) {
-        s.active = true;
-        ++cnt;
-      }
-    }
-  };
-  drain(sh.heap_a, sh.active_a);
-  drain(sh.heap_b, sh.active_b);
-}
-
-void Engine::recount_active() {
-  num_active_ = 0;
-  for (ShardState& sh : shard_states_) {
-    sh.active_a = 0;
-    sh.active_b = 0;
-  }
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i].active) continue;
-    if (!shard_states_.empty()) {
-      const std::uint32_t o = plan_.owner[i];
-      if (o < plan_.num_shards) {
-        ShardState& sh = shard_states_[o];
-        if (is_wave_b(static_cast<std::uint32_t>(i))) {
-          ++sh.active_b;
-        } else {
-          ++sh.active_a;
-        }
-        continue;
-      }
-    }
-    ++num_active_;
-  }
-}
-
-std::size_t Engine::total_active() const {
-  std::size_t n = num_active_;
-  for (const ShardState& sh : shard_states_) n += sh.active_a + sh.active_b;
-  return n;
-}
-
-Cycle Engine::next_wake_cycle() const {
-  Cycle next = wakes_.empty() ? kNoCycle : wakes_.front().at;
-  for (const ShardState& sh : shard_states_) {
-    if (!sh.heap_a.empty()) next = std::min(next, sh.heap_a.front().at);
-    if (!sh.heap_b.empty()) next = std::min(next, sh.heap_b.front().at);
-  }
-  return next;
-}
-
-void Engine::redistribute_wakes() {
-  if (shard_states_.empty()) return;
-  std::vector<Wake> global;
-  global.reserve(wakes_.size());
-  for (const Wake& w : wakes_) {
-    const std::uint32_t o = plan_.owner[w.slot];
-    if (o < plan_.num_shards) {
-      auto& h = is_wave_b(w.slot) ? shard_states_[o].heap_b
-                                  : shard_states_[o].heap_a;
-      h.push_back(w);
-    } else {
-      global.push_back(w);
-    }
-  }
-  wakes_ = std::move(global);
-  std::make_heap(wakes_.begin(), wakes_.end(), std::greater<>{});
-  for (ShardState& sh : shard_states_) {
-    std::make_heap(sh.heap_a.begin(), sh.heap_a.end(), std::greater<>{});
-    std::make_heap(sh.heap_b.begin(), sh.heap_b.end(), std::greater<>{});
-  }
-}
-
-void Engine::step() { step_bounded(now_ + 1); }
-
-void Engine::step_bounded(Cycle limit) {
+void Engine::step() {
   const bool event = mode_ == EngineMode::kEventDriven;
   if (event) activate_due();
-  if (plan_.num_shards <= 1) {
-    std::uint64_t executed = 0;
-    in_scan_ = true;
-    for (scan_pos_ = 0; scan_pos_ < slots_.size(); ++scan_pos_) {
-      if (event && !slots_[scan_pos_].active) continue;
-      slots_[scan_pos_].c->tick(now_);
-      slots_[scan_pos_].last_tick = now_;
-      ++slot_perf_[scan_pos_].ticks;
-      ++executed;
-    }
-    in_scan_ = false;
-    perf_.ticks_executed += executed;
-    perf_.ticks_skipped += slots_.size() - executed;
-    ++perf_.cycles_stepped;
-    ++now_;
-    return;
-  }
-  if (event) {
-    for (ShardState& sh : shard_states_) activate_due_shard(sh, now_);
-  }
-  if (!event || !windows_enabled_) {
-    step_sharded(event);
-    return;
-  }
-
-  // ---- Conservative-lookahead window planner ------------------------
-  // Every bound below is a function of serialized machine state alone
-  // (never of pause history), so checkpoint replays that split windows
-  // differently still tick/skip exactly the same per-cycle behaviour.
-  const MeshWindowLimits ml = shard_hooks_.window_limits(now_);
-  if (ml.lockstep) {
-    step_sharded(true);
-    return;
-  }
-  Cycle end = limit;
-  if (window_cap_ > 0 && now_ + window_cap_ < end) end = now_ + window_cap_;
-
-  // Sequential guard: an active sequential slot must tick *this* cycle
-  // (the tail only runs for L == 1 windows), and a pending
-  // coordinator/sequential wake caps the window at its cycle.
-  bool seq_active = false;
-  for (std::size_t i = seq_begin_; i < slots_.size(); ++i) {
-    if (slots_[i].active) {
-      seq_active = true;
-      break;
-    }
-  }
-  if (seq_active) {
-    end = now_ + 1;
-  } else if (!wakes_.empty() && wakes_.front().at < end) {
-    end = wakes_.front().at;
-  }
-
-  // Earliest possible wave-A (memory-side) and wave-B (core) actions.
-  Cycle ea = kNoCycle;
-  Cycle eb = kNoCycle;
-  for (const ShardState& sh : shard_states_) {
-    const Cycle a = sh.active_a > 0
-                        ? now_
-                        : (sh.heap_a.empty() ? kNoCycle
-                                             : sh.heap_a.front().at);
-    ea = std::min(ea, a);
-    const Cycle b = sh.active_b > 0
-                        ? now_
-                        : (sh.heap_b.empty() ? kNoCycle
-                                             : sh.heap_b.front().at);
-    eb = std::min(eb, b);
-  }
-  // A core tick is only exact in an L == 1 epoch (its lock/census
-  // effects feed the sequential tail of the same cycle), so the window
-  // ends where the first core acts.
-  if (eb != kNoCycle) end = std::min(end, std::max(eb, now_ + 1));
-  // While a core sits in an unpredictable memory wait, any memory-side
-  // action (or delivery, below) could wake it mid-window: stop at the
-  // earliest one so the waking cycle starts a fresh L == 1 epoch.
-  const bool mw = shard_hooks_.mem_waiters && shard_hooks_.mem_waiters();
-  if (mw && ea != kNoCycle) end = std::min(end, std::max(ea, now_ + 1));
-  if (ml.busy) {
-    end = std::min(end, ml.max_end);
-    if (mw) end = std::min(end, std::max(ml.delivery, now_ + 1));
-  } else if (ea != kNoCycle && plan_.horizon != kNoCycle &&
-             ea + plan_.horizon < end) {
-    // Empty fabric: the earliest send can be staged across a boundary
-    // no sooner than its issue cycle plus the plan horizon.
-    end = ea + plan_.horizon;
-  }
-  if (!ml.busy && coord_slot_ != kNoSlot && slots_[coord_slot_].active) {
-    // A coordinator wake left the slot active over an idle fabric (e.g.
-    // restored from a plan without window support): run one L == 1 epoch
-    // so end_window() re-syncs the slot to the fabric census.
-    end = now_ + 1;
-  }
-  // Hard cap so the per-shard busy masks below fit one word. Real
-  // windows are far shorter (the busy clamp is the per-hop latency and
-  // the empty-fabric clamp the plan horizon); only the fully-dormant
-  // case could reach this, and it costs one extra planner pass.
-  if (end > now_ + 64) end = now_ + 64;
-  if (end <= now_) end = now_ + 1;
-  step_windowed(end);
-}
-
-void Engine::step_sharded(bool event) {
-  // One lockstep epoch == one cycle. The sub-phase order reproduces the
-  // serial scan exactly: wave A (slots before the coordinator) in
-  // parallel, the coordinator serially, wave B (slots after it) in
-  // parallel, then the kSequential suffix serially — with the barrier
-  // merges replaying deferred wakes in the order the serial scan would
-  // have issued them, and the hooks flushing staged cross-shard traffic.
-  const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t executed = 0;
   in_scan_ = true;
-
-  run_waves(/*wave_b=*/false);
-  for (ShardState& sh : shard_states_) {
-    executed += sh.ticks_delta;
-    sh.ticks_delta = 0;
-  }
-  merge_shard_effects(1);
-
-  if (coord_slot_ != kNoSlot) {
-    // Staged wave-A sends flush as-if issued during their owners' ticks:
-    // the cursor sits just before the coordinator, so a wake for it
-    // activates this cycle and express timing anchors to `now`.
-    scan_pos_ = coord_slot_ - 1;
-    if (shard_hooks_.pre_coordinator) shard_hooks_.pre_coordinator();
-    scan_pos_ = coord_slot_;
-    if (!event || slots_[coord_slot_].active) {
-      slots_[coord_slot_].c->tick(now_);
-      slots_[coord_slot_].last_tick = now_;
-      ++slot_perf_[coord_slot_].ticks;
-      ++executed;
-    }
-  }
-
-  run_waves(/*wave_b=*/true);
-  for (ShardState& sh : shard_states_) {
-    executed += sh.ticks_delta;
-    sh.ticks_delta = 0;
-  }
-  merge_shard_effects(1);
-
-  // Core-issued sends flush after wave B; any wake they raise for the
-  // coordinator bumps to the next cycle, exactly as it would have when
-  // issued from a core's tick (cursor past the whole scan).
-  scan_pos_ = slots_.empty() ? 0 : slots_.size() - 1;
-  if (shard_hooks_.post_waves) shard_hooks_.post_waves();
-
-  for (std::size_t i = seq_begin_; i < slots_.size(); ++i) {
-    scan_pos_ = i;
-    if (event && !slots_[i].active) continue;
-    slots_[i].c->tick(now_);
-    slots_[i].last_tick = now_;
-    ++slot_perf_[i].ticks;
+  for (scan_pos_ = 0; scan_pos_ < slots_.size(); ++scan_pos_) {
+    if (event && !slots_[scan_pos_].active) continue;
+    slots_[scan_pos_].c->tick(now_);
+    slots_[scan_pos_].last_tick = now_;
+    ++slot_perf_[scan_pos_].ticks;
     ++executed;
   }
-
   in_scan_ = false;
   perf_.ticks_executed += executed;
   perf_.ticks_skipped += slots_.size() - executed;
   ++perf_.cycles_stepped;
-  ++epoch_;
   ++now_;
-  ++wperf_.lockstep_epochs;
-  wperf_.epoch_wall_ns += ns_since(t0);
-}
-
-void Engine::step_windowed(Cycle end) {
-  const Cycle start = now_;
-  const Cycle len = end - start;
-  const auto t0 = std::chrono::steady_clock::now();
-  shard_hooks_.begin_window(start, end);
-  in_scan_ = true;
-  window_end_ = end;
-  windowed_epoch_ = true;
-  if (crew_) crew_->begin_wave();
-  run_shard_window(0);
-  if (crew_) crew_->finish_wave();
-  windowed_epoch_ = false;
-
-  std::uint64_t executed = 0;
-  std::uint64_t busy = 0;
-  for (ShardState& sh : shard_states_) {
-    executed += sh.ticks_delta;
-    sh.ticks_delta = 0;
-    busy |= sh.busy_mask;
-    sh.busy_mask = 0;
-  }
-  merge_shard_effects(len);
-
-  // Boundary flits flush and per-region accounting folds; the
-  // coordinator slot's activity then mirrors the fabric so global
-  // idle-skip never jumps past a busy mesh. Windowed epochs never tick
-  // the coordinator slot itself (regions do its work), which keeps its
-  // serialized last-tick/tick-count a pure function of the lockstep
-  // epochs — those occur at pause-invariant cycles.
-  const bool mesh_busy = shard_hooks_.end_window(end);
-  if (coord_slot_ != kNoSlot) {
-    if (mesh_busy) {
-      activate(coord_slot_);
-    } else if (slots_[coord_slot_].active) {
-      slots_[coord_slot_].active = false;
-      --num_active_;
-    }
-  }
-
-  if (len == 1) {
-    // The sequential tail runs exactly as in a lockstep epoch: cores
-    // (if any ticked) and the merge above may have activated G-line /
-    // census slots for this very cycle.
-    for (std::size_t i = seq_begin_; i < slots_.size(); ++i) {
-      scan_pos_ = i;
-      if (!slots_[i].active) continue;
-      slots_[i].c->tick(start);
-      slots_[i].last_tick = start;
-      ++slot_perf_[i].ticks;
-      ++executed;
-      busy |= 1;  // the tail worked this (single) cycle
-    }
-  }
-  in_scan_ = false;
-  // Cycle counters classify a window cycle as stepped when any shard
-  // had work at it (slot ticks or a busy mesh region); cycles every
-  // shard jumped over land in cycles_skipped, so `--perf` reports real
-  // activity rather than `len * slots`. The split is telemetry only:
-  // a checkpoint pause mid-window flushes staged boundary flits early,
-  // which can make a neighbour region busy (a no-op tick over a
-  // not-yet-ready flit) at a cycle the unsplit window skips — so these
-  // counters depend on pause history and are excluded from save().
-  const auto stepped =
-      static_cast<std::uint64_t>(std::popcount(busy));
-  perf_.ticks_executed += executed;
-  perf_.ticks_skipped += stepped * slots_.size() - executed;
-  perf_.cycles_stepped += stepped;
-  perf_.cycles_skipped += len - stepped;
-  ++epoch_;
-  now_ = end;
-
-  ++wperf_.windowed_epochs;
-  wperf_.windowed_cycles += len;
-  std::size_t bucket;
-  if (len <= 4) {
-    bucket = static_cast<std::size_t>(len - 1);
-  } else if (len <= 8) {
-    bucket = 4;
-  } else if (len <= 16) {
-    bucket = 5;
-  } else if (len <= 64) {
-    bucket = 6;
-  } else {
-    bucket = 7;
-  }
-  ++wperf_.window_hist[bucket];
-  wperf_.epoch_wall_ns += ns_since(t0);
-}
-
-void Engine::run_waves(bool wave_b) {
-  wave_b_ = wave_b;
-  if (crew_) crew_->begin_wave();
-  run_shard_wave(0, wave_b);
-  if (crew_) crew_->finish_wave();
-}
-
-void Engine::run_shard_wave(std::uint32_t shard, bool wave_b) {
-  ShardState& sh = shard_states_[shard];
-  const std::vector<std::uint32_t>& list = wave_b ? sh.wave_b : sh.wave_a;
-  const bool event = mode_ == EngineMode::kEventDriven;
-  WorkerScope scope{this, shard, 0, now_};
-  tls_worker = &scope;
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    for (const std::uint32_t slot : list) {
-      if (event && !slots_[slot].active) continue;
-      scope.slot = slot;
-      slots_[slot].c->tick(now_);
-      slots_[slot].last_tick = now_;
-      ++slot_perf_[slot].ticks;
-      ++sh.ticks_delta;
-    }
-  } catch (...) {
-    sh.error = std::current_exception();
-  }
-  sh.busy_ns += ns_since(t0);
-  tls_worker = nullptr;
-}
-
-void Engine::run_shard_window(std::uint32_t shard) {
-  ShardState& sh = shard_states_[shard];
-  const Cycle end = window_end_;
-  const bool single = end == now_ + 1;
-  WorkerScope scope{this, shard, 0, now_};
-  tls_worker = &scope;
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    Cycle t = now_;
-    while (t < end) {
-      scope.local_now = t;
-      activate_due_shard(sh, t);
-      const bool region = shard_hooks_.region_busy(shard);
-      if (!region && sh.active_a == 0 && sh.active_b == 0) {
-        // Local idle-skip: jump this shard's clock to its earliest
-        // pending wake (or the window edge) — the per-shard analogue of
-        // the global clock jump, legal because nothing outside the
-        // shard can act on it before the window ends.
-        Cycle nxt = end;
-        if (!sh.heap_a.empty()) nxt = std::min(nxt, sh.heap_a.front().at);
-        if (!sh.heap_b.empty()) nxt = std::min(nxt, sh.heap_b.front().at);
-        t = std::max(nxt, t + 1);
-        continue;
-      }
-      sh.busy_mask |= std::uint64_t{1} << (t - now_);
-      for (const std::uint32_t slot : sh.wave_a) {
-        if (!slots_[slot].active) continue;
-        scope.slot = slot;
-        slots_[slot].c->tick(t);
-        slots_[slot].last_tick = t;
-        ++slot_perf_[slot].ticks;
-        ++sh.ticks_delta;
-      }
-      if (shard_hooks_.region_busy(shard)) {
-        // This shard's mesh region ticks in the coordinator's scan
-        // position, so deliveries wake memory-side slots with the same
-        // N -> N+1 bump the serial mesh tick produces.
-        scope.slot = coord_slot_;
-        shard_hooks_.tick_region(shard, t);
-      }
-      GLOCKS_CHECK(single || sh.active_b == 0,
-                   "core woken inside a multi-cycle window (shard "
-                       << shard << ", cycle " << t
-                       << ") — planner guard missed a wake source");
-      for (const std::uint32_t slot : sh.wave_b) {
-        if (!slots_[slot].active) continue;
-        scope.slot = slot;
-        slots_[slot].c->tick(t);
-        slots_[slot].last_tick = t;
-        ++slot_perf_[slot].ticks;
-        ++sh.ticks_delta;
-      }
-      ++t;
-    }
-  } catch (...) {
-    sh.error = std::current_exception();
-  }
-  sh.busy_ns += ns_since(t0);
-  tls_worker = nullptr;
-}
-
-void Engine::merge_shard_effects(Cycle window_len) {
-  std::exception_ptr err;
-  for (ShardState& sh : shard_states_) {
-    if (sh.error != nullptr && err == nullptr) err = sh.error;
-    sh.error = nullptr;
-  }
-  if (err != nullptr) {
-    // The run is dead (SimError propagates to the caller); drop the
-    // pending cross effects so the engine is at least internally
-    // consistent. The per-shard heaps are real scheduling state and
-    // stay as-is.
-    for (ShardState& sh : shard_states_) {
-      sh.cross.clear();
-      sh.wakes_delta = 0;
-      sh.ticks_delta = 0;
-    }
-    in_scan_ = false;
-    windowed_epoch_ = false;
-    std::rethrow_exception(err);
-  }
-
-  for (ShardState& sh : shard_states_) {
-    perf_.wakes_scheduled += sh.wakes_delta;
-    sh.wakes_delta = 0;
-  }
-
-  // Cross wakes (coordinator/sequential targets) replay in ascending
-  // sender-slot order — exactly the order the serial scan would have
-  // issued them, which keeps last_wake (a serialized field) identical.
-  // Each shard's buffer is already sender-sorted (workers tick their
-  // slots in ascending order), so this is a k-way merge; a sender slot
-  // belongs to exactly one shard, so ties cannot occur across shards.
-  // Multi-cycle windows can carry none (only cores and the tail raise
-  // them, and both are confined to L == 1 epochs).
-  std::vector<std::size_t> idx(shard_states_.size(), 0);
-  for (;;) {
-    std::size_t best_shard = shard_states_.size();
-    std::uint32_t best_sender = 0xFFFFFFFFu;
-    for (std::size_t s = 0; s < shard_states_.size(); ++s) {
-      const ShardState& sh = shard_states_[s];
-      if (idx[s] < sh.cross.size() &&
-          sh.cross[idx[s]].sender < best_sender) {
-        best_sender = sh.cross[idx[s]].sender;
-        best_shard = s;
-      }
-    }
-    if (best_shard == shard_states_.size()) break;
-    const CrossWake cw = shard_states_[best_shard].cross[idx[best_shard]++];
-    GLOCKS_CHECK(window_len == 1,
-                 "cross-shard wake for " << slot_perf_[cw.slot].name
-                                         << " inside a multi-cycle window");
-    ++perf_.wakes_scheduled;
-    ++slot_perf_[cw.slot].wakes;
-    ++wperf_.cross_wakes;
-    slots_[cw.slot].last_wake = cw.at;
-    if (cw.at == now_) {
-      if (cw.slot <= cw.sender) {
-        push_wake(cw.slot, now_ + 1);
-      } else {
-        activate(cw.slot);
-      }
-      continue;
-    }
-    push_wake(cw.slot, cw.at);
-  }
-  for (ShardState& sh : shard_states_) sh.cross.clear();
-}
-
-void Engine::set_shard_plan(ShardPlan plan, ShardHooks hooks) {
-  GLOCKS_CHECK(!in_scan_, "set_shard_plan mid-cycle (inside a scan)");
-  crew_.reset();
-  // Per-shard heaps hold real pending wakes; fold them back into the
-  // global heap before the shard states are dropped.
-  bool folded = false;
-  for (ShardState& sh : shard_states_) {
-    wakes_.insert(wakes_.end(), sh.heap_a.begin(), sh.heap_a.end());
-    wakes_.insert(wakes_.end(), sh.heap_b.begin(), sh.heap_b.end());
-    folded = folded || !sh.heap_a.empty() || !sh.heap_b.empty();
-  }
-  if (folded) std::make_heap(wakes_.begin(), wakes_.end(), std::greater<>{});
-  shard_states_.clear();
-  shard_hooks_ = ShardHooks{};
-  coord_slot_ = kNoSlot;
-  seq_begin_ = slots_.size();
-  epoch_ = 0;
-  windows_enabled_ = false;
-  window_cap_ = 0;
-  wperf_ = WindowPerf{};
-  if (plan.num_shards <= 1) {
-    plan_ = ShardPlan{};
-    recount_active();
-    return;
-  }
-  GLOCKS_CHECK(plan.owner.size() == slots_.size(),
-               "shard plan covers " << plan.owner.size() << " slots, "
-                                    << slots_.size() << " registered");
-  plan_ = std::move(plan);
-  shard_hooks_ = std::move(hooks);
-  for (std::size_t i = 0; i < plan_.owner.size(); ++i) {
-    const std::uint32_t o = plan_.owner[i];
-    if (o == ShardPlan::kCoordinator) {
-      GLOCKS_CHECK(coord_slot_ == kNoSlot,
-                   "shard plan names two coordinator slots");
-      GLOCKS_CHECK(i > 0, "coordinator cannot be slot 0");
-      coord_slot_ = static_cast<std::uint32_t>(i);
-      continue;
-    }
-    if (o == ShardPlan::kSequential) {
-      seq_begin_ = std::min(seq_begin_, i);
-      continue;
-    }
-    GLOCKS_CHECK(o < plan_.num_shards,
-                 "slot " << slot_perf_[i].name << " assigned to shard "
-                         << o << " of " << plan_.num_shards);
-  }
-  for (std::size_t i = seq_begin_; i < slots_.size(); ++i) {
-    GLOCKS_CHECK(plan_.owner[i] == ShardPlan::kSequential,
-                 "kSequential slots must form a suffix of the scan");
-  }
-  shard_states_.resize(plan_.num_shards);
-  for (std::size_t i = 0; i < seq_begin_; ++i) {
-    const std::uint32_t o = plan_.owner[i];
-    if (o == ShardPlan::kCoordinator) continue;
-    if (coord_slot_ != kNoSlot && i > coord_slot_) {
-      shard_states_[o].wave_b.push_back(static_cast<std::uint32_t>(i));
-    } else {
-      shard_states_[o].wave_a.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  if (plan_.horizon == 0) plan_.horizon = 1;
-  windows_enabled_ =
-      plan_.window != 1 && mode_ == EngineMode::kEventDriven &&
-      coord_slot_ != kNoSlot && static_cast<bool>(shard_hooks_.window_limits) &&
-      static_cast<bool>(shard_hooks_.begin_window) &&
-      static_cast<bool>(shard_hooks_.tick_region) &&
-      static_cast<bool>(shard_hooks_.region_busy) &&
-      static_cast<bool>(shard_hooks_.end_window);
-  window_cap_ = windows_enabled_ ? plan_.window : 0;
-  redistribute_wakes();
-  recount_active();
-  crew_ = std::make_unique<ShardCrew>(
-      plan_.num_shards - 1, [this](std::uint32_t w) {
-        if (windowed_epoch_) {
-          run_shard_window(w + 1);
-        } else {
-          run_shard_wave(w + 1, wave_b_);
-        }
-      });
-}
-
-WindowPerf Engine::window_perf() const {
-  WindowPerf w = wperf_;
-  w.shard_busy_ns.clear();
-  for (const ShardState& sh : shard_states_) {
-    w.shard_busy_ns.push_back(sh.busy_ns);
-  }
-  return w;
 }
 
 Cycle Engine::run_until(const std::function<bool()>& done, Cycle max_cycles,
@@ -842,15 +135,15 @@ Cycle Engine::run_loop(const std::function<bool()>& done, Cycle max_cycles,
     if (now_ >= max_cycles) [[unlikely]] {
       throw_hang(max_cycles, phase);
     }
-    if (mode_ == EngineMode::kEventDriven && total_active() == 0) {
+    if (mode_ == EngineMode::kEventDriven && num_active_ == 0) {
       // Everyone is dormant: jump straight to the earliest wake (never
       // past it), clamped to the cycle limit so an empty wake queue still
       // lands on the ordinary hang path above, and to the pause point so
       // a checkpoint lands on its exact cycle (the resumed jump re-aims
       // at the same wake — a pure clock move either way).
-      const Cycle next = next_wake_cycle();
-      Cycle target =
-          next == kNoCycle ? max_cycles : std::min(next, max_cycles);
+      Cycle target = wakes_.empty()
+                         ? max_cycles
+                         : std::min(wakes_.front().at, max_cycles);
       target = std::min(target, pause_at);
       if (target > now_) {
         ++perf_.clock_jumps;
@@ -859,7 +152,7 @@ Cycle Engine::run_loop(const std::function<bool()>& done, Cycle max_cycles,
         continue;  // a pure clock move changes no state; re-check limits
       }
     }
-    step_bounded(std::min(max_cycles, pause_at));
+    step();
   }
   return now_;
 }
@@ -870,21 +163,6 @@ std::string Engine::dormancy_report() const {
     const Slot& s = slots_[i];
     if (s.active) continue;
     oss << "  " << slot_perf_[i].name << ": dormant";
-    if (plan_.num_shards > 1) {
-      // Under sharded execution a stuck component is debugged by owner:
-      // name the shard, the epoch, and the shard-local clock (all
-      // shards sit at the barrier, so local clock == global now).
-      const std::uint32_t o = plan_.owner[i];
-      oss << " [";
-      if (o == ShardPlan::kCoordinator) {
-        oss << "coordinator";
-      } else if (o == ShardPlan::kSequential) {
-        oss << "sequential";
-      } else {
-        oss << "shard " << o;
-      }
-      oss << ", epoch " << epoch_ << ", local clock @" << now_ << "]";
-    }
     if (s.last_tick == kNoCycle) {
       oss << ", never ticked";
     } else {
@@ -898,14 +176,6 @@ std::string Engine::dormancy_report() const {
     Cycle pending = kNoCycle;
     for (const Wake& w : wakes_) {
       if (w.slot == i) pending = std::min(pending, w.at);
-    }
-    for (const ShardState& sh : shard_states_) {
-      for (const Wake& w : sh.heap_a) {
-        if (w.slot == i) pending = std::min(pending, w.at);
-      }
-      for (const Wake& w : sh.heap_b) {
-        if (w.slot == i) pending = std::min(pending, w.at);
-      }
     }
     if (pending == kNoCycle) {
       oss << ", no pending wake";
@@ -925,11 +195,6 @@ void Engine::throw_hang(Cycle max_cycles, const char* phase) const {
   } else {
     oss << phase << " exceeded its budget of " << max_cycles
         << " cycles — in-flight state failed to quiesce";
-  }
-  if (plan_.num_shards > 1) {
-    oss << "\nsharded execution: " << plan_.num_shards << " shards ("
-        << (windows_enabled_ ? "windowed" : "lockstep") << "), epoch "
-        << epoch_ << ", barrier clock @" << now_;
   }
   if (hang_reporter_) {
     oss << "\n--- hang diagnostic (cycle " << now_ << ") ---\n"
@@ -960,14 +225,9 @@ void Engine::save(ckpt::ArchiveWriter& a) const {
     a.u64(slot_perf_[i].ticks);
     a.u64(slot_perf_[i].wakes);
   }
-  // Heap array order depends on push/pop history, and pending wakes are
-  // spread across the global and per-shard heaps; serialize the merged
+  // Heap array order depends on push/pop history; serialize the
   // canonical sorted form (which is itself a valid min-heap layout).
   std::vector<Wake> sorted = wakes_;
-  for (const ShardState& sh : shard_states_) {
-    sorted.insert(sorted.end(), sh.heap_a.begin(), sh.heap_a.end());
-    sorted.insert(sorted.end(), sh.heap_b.begin(), sh.heap_b.end());
-  }
   std::sort(sorted.begin(), sorted.end(),
             [](const Wake& x, const Wake& y) {
               return x.at != y.at ? x.at < y.at : x.slot < y.slot;
@@ -979,17 +239,13 @@ void Engine::save(ckpt::ArchiveWriter& a) const {
   }
   a.u64(perf_.ticks_executed);
   // clock_jumps, ticks_skipped, cycles_stepped and cycles_skipped are
-  // deliberately not serialized: they depend on pause history while all
-  // machine state (and every field above) does not. Pausing for a
-  // checkpoint splits one idle jump into two (clock_jumps), and under
-  // windowed sharding it also flushes staged boundary flits at the pause
-  // cycle — the neighbour region then holds a not-yet-ready flit and
-  // marks its cycles busy where an unsplit window idle-skips them, so
-  // the stepped/skipped classification shifts by a cycle per mid-window
-  // pause. The restore verifier byte-compares a replayed machine's
-  // archive against this one, so only pause-invariant fields may land
-  // here; ticks_executed and wakes_scheduled count real machine events
-  // and qualify.
+  // deliberately not serialized: clock_jumps depends on pause history
+  // (pausing for a checkpoint splits one idle jump into two) while all
+  // machine state does not, and the other three are kernel
+  // self-measurement kept out with it. The restore verifier
+  // byte-compares a replayed machine's archive against this one, so only
+  // pause-invariant fields may land here; ticks_executed and
+  // wakes_scheduled count real machine events and qualify.
   a.u64(perf_.wakes_scheduled);
 }
 
@@ -1010,10 +266,6 @@ void Engine::load(ckpt::ArchiveReader& a) {
     slot_perf_[i].wakes = a.u64();
   }
   wakes_.clear();
-  for (ShardState& sh : shard_states_) {
-    sh.heap_a.clear();
-    sh.heap_b.clear();
-  }
   const std::uint64_t nw = a.u64();
   wakes_.reserve(nw);
   for (std::uint64_t i = 0; i < nw; ++i) {
@@ -1023,8 +275,9 @@ void Engine::load(ckpt::ArchiveReader& a) {
     // Sorted ascending on (at, slot) is a valid min-heap layout as-is.
     wakes_.push_back(Wake{at, slot});
   }
-  redistribute_wakes();
-  recount_active();
+  num_active_ = static_cast<std::size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const Slot& s) { return s.active; }));
   perf_.ticks_executed = a.u64();
   // clock_jumps / ticks_skipped / cycles_stepped / cycles_skipped keep
   // their current values (see save()).

@@ -25,31 +25,16 @@
 // cycle it would have observed it under the serial tick-everything loop.
 // See docs/simulation_model.md, "Event-driven kernel & dormancy
 // contract".
-//
-// Sharded execution runs two kinds of epochs. A *lockstep* epoch is one
-// cycle split into four barrier phases (wave A / coordinator / wave B /
-// sequential tail) — always legal, and the only mode under the mesh
-// fault domain. A *windowed* epoch covers L >= 1 cycles chosen by the
-// conservative-lookahead planner: each shard runs its own slots AND its
-// own mesh region on a local clock that idle-skips freely inside
-// [start, end), cross-boundary flits are staged per boundary link and
-// merged at the window edge, and the sequential tail runs only for L==1
-// windows (the planner forces L=1 whenever a sequential slot, core, or
-// unpredictable memory wake could act). Results are bit-identical to
-// the serial scan for every shard count and window length.
+
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
-#include "sim/shard.hpp"
 
 namespace glocks::ckpt {
 class ArchiveWriter;
@@ -59,18 +44,6 @@ class ArchiveReader;
 namespace glocks::sim {
 
 class Engine;
-
-/// Identity of the shard-wave worker currently running on this thread
-/// (thread-local; null outside a wave). The mesh consults it to decide
-/// whether a send must be staged for the deterministic barrier exchange.
-struct WorkerScope {
-  const Engine* engine;
-  std::uint32_t shard;
-  std::uint32_t slot;  ///< slot whose tick() is executing right now
-  /// The shard's local clock: == the global clock in lockstep epochs,
-  /// anywhere inside [window start, window end) in windowed epochs.
-  Cycle local_now;
-};
 
 /// Kernel self-measurement counters (the `--perf` / bench layer reads
 /// these; they never influence simulation results).
@@ -89,20 +62,6 @@ struct SlotPerf {
   std::string name;
   std::uint64_t ticks = 0;
   std::uint64_t wakes = 0;
-};
-
-/// Sharded-execution self-measurement (host-side only — never
-/// serialized, never influences simulation results). Window-length
-/// histogram buckets: L == 1, 2, 3, 4, 5-8, 9-16, 17-64, 65+.
-struct WindowPerf {
-  static constexpr std::size_t kHistBuckets = 8;
-  std::uint64_t lockstep_epochs = 0;  ///< serial-coordinator epochs (L==1)
-  std::uint64_t windowed_epochs = 0;  ///< region-sharded epochs
-  std::uint64_t windowed_cycles = 0;  ///< cycles covered by windowed epochs
-  std::array<std::uint64_t, kHistBuckets> window_hist{};
-  std::uint64_t cross_wakes = 0;      ///< barrier-merged cross-shard wakes
-  std::uint64_t epoch_wall_ns = 0;    ///< wall time inside sharded epochs
-  std::vector<std::uint64_t> shard_busy_ns;  ///< per-shard wave/window body
 };
 
 /// Anything that does work once per simulated cycle.
@@ -161,15 +120,13 @@ class Engine {
   /// name labels this slot in the perf counters.
   void add(Component& c, std::string_view name = {});
 
-  /// The clock as seen by the calling thread: the shard-local clock
-  /// inside a shard wave or window body, the global clock otherwise.
-  Cycle now() const;
+  Cycle now() const { return now_; }
   EngineMode mode() const { return mode_; }
 
-  /// Advances at least one cycle (exactly one outside windowed sharding).
+  /// Advances exactly one cycle.
   void step();
 
-  /// Runs until `done()` returns true (checked between epochs) or
+  /// Runs until `done()` returns true (checked between cycles) or
   /// `max_cycles` elapse. Returns the final cycle count. Throws SimError
   /// if the cycle limit is hit, since that always signals a deadlock or a
   /// runaway workload; the error carries the hang reporter's dump when
@@ -180,11 +137,9 @@ class Engine {
 
   /// run_until, but additionally returns (without error) as soon as the
   /// clock reaches `pause_at` — the checkpoint layer's hook. Pausing is
-  /// observationally pure: the check happens between epochs, a clock
-  /// jump that would overshoot the pause point is split at it, and the
-  /// window planner never opens a window across it (the mid-window
-  /// checkpoint rule: a pause cycle is always a window boundary, so the
-  /// serialized state is exactly what an uninterrupted run holds there).
+  /// observationally pure: the check happens between cycles and a clock
+  /// jump that would overshoot the pause point is split at it, so the
+  /// serialized state is exactly what an uninterrupted run holds there.
   Cycle run_until_or_pause(const std::function<bool()>& done,
                            Cycle max_cycles, Cycle pause_at,
                            const char* phase = nullptr);
@@ -199,35 +154,11 @@ class Engine {
 
   const EnginePerf& perf() const { return perf_; }
   const std::vector<SlotPerf>& slot_perf() const { return slot_perf_; }
-  /// Snapshot of the sharded-execution counters with the per-shard busy
-  /// times filled in (by value — the live counters stay internal).
-  WindowPerf window_perf() const;
-
-  /// Installs (or, with num_shards <= 1, removes) a spatial sharding
-  /// plan. With a plan of S > 1 shards, each epoch runs either in
-  /// lockstep (wave A on S threads, coordinator serially, wave B on S
-  /// threads, sequential suffix serially) or — when plan.window != 1 and
-  /// the window hooks are installed — as a multi-cycle conservative
-  /// window with per-shard local clocks and region-sharded coordinator
-  /// work. Results are bit-identical to the serial scan; see shard.hpp.
-  /// Call only between cycles, after every slot is registered; calling
-  /// again replaces the previous plan (the old crew is joined first).
-  void set_shard_plan(ShardPlan plan, ShardHooks hooks = {});
-  std::uint32_t num_shards() const { return plan_.num_shards; }
-  /// Epochs completed under the current plan. Diagnostic only — not
-  /// serialized, resets with the plan.
-  std::uint64_t shard_epoch() const { return epoch_; }
-  std::size_t num_slots() const { return slots_.size(); }
-
-  /// The worker scope of the calling thread if it is currently running
-  /// a shard wave, else nullptr.
-  static const WorkerScope* current_worker();
 
   /// Serializes the kernel state — clock, per-slot active flags and
   /// last-tick/last-wake cycles, the pending-wake queue (canonically
-  /// sorted, merged across the per-shard heaps), and the perf counters —
-  /// as one archive-section payload. Components themselves are not owned
-  /// here; they save separately.
+  /// sorted), and the perf counters — as one archive-section payload.
+  /// Components themselves are not owned here; they save separately.
   void save(ckpt::ArchiveWriter& a) const;
   /// Inverse of save(); the same components must already be registered
   /// (load restores scheduling state, not the component roster).
@@ -253,74 +184,11 @@ class Engine {
     }
   };
 
-  /// A wake issued from a shard worker against a coordinator/sequential
-  /// slot; replayed on the main thread at the next barrier in ascending
-  /// sender order (the order the serial scan would have issued it).
-  struct CrossWake {
-    std::uint32_t slot;
-    Cycle at;
-    std::uint32_t sender;
-  };
-  /// Per-shard wave lists, wake heaps, and the cross-owner effects a
-  /// worker batches up for the main thread to merge at the barrier. The
-  /// heaps and active counts have a single writer at any time: the
-  /// owning worker inside a wave/window, the main thread between
-  /// barriers (the crew's generation counters give the happens-before
-  /// edges both ways).
-  struct ShardState {
-    std::vector<std::uint32_t> wave_a;
-    std::vector<std::uint32_t> wave_b;
-    std::vector<Wake> heap_a;  ///< pending wakes for own wave-A slots
-    std::vector<Wake> heap_b;  ///< pending wakes for own wave-B (core) slots
-    std::size_t active_a = 0;  ///< active wave-A slots
-    std::size_t active_b = 0;  ///< active wave-B slots
-    std::vector<CrossWake> cross;
-    std::uint64_t wakes_delta = 0;
-    std::uint64_t ticks_delta = 0;
-    /// Bit (t - start) set when this shard did work at window cycle t
-    /// (ticked a slot or its mesh region). The union across shards
-    /// classifies each window cycle as stepped or skipped — a pure
-    /// function of machine state, so replays that split the window at a
-    /// pause boundary produce the same serialized cycle counters.
-    std::uint64_t busy_mask = 0;
-    std::uint64_t busy_ns = 0;  ///< wall ns spent in wave/window bodies
-    std::exception_ptr error;
-  };
-
   void schedule(std::uint32_t slot, Cycle at);
-  void schedule_from_worker(WorkerScope& ws, std::uint32_t slot, Cycle at);
   void deactivate(std::uint32_t slot);
-  /// Routes a pending wake into the right heap (main thread only).
   void push_wake(std::uint32_t slot, Cycle at);
-  /// Sets a slot active, crediting the right active counter (main
-  /// thread only).
   void activate(std::uint32_t slot);
   void activate_due();
-  void activate_due_shard(ShardState& sh, Cycle t);
-  /// Recomputes num_active_ and every shard's active_a/active_b from the
-  /// slot flags (after load or a plan change).
-  void recount_active();
-  /// Moves shard-owned entries from the global heap into the per-shard
-  /// heaps (after load or a plan change) and re-heapifies everything.
-  void redistribute_wakes();
-  /// Active slots across the global set and every shard.
-  std::size_t total_active() const;
-  /// Earliest pending wake across the global heap and every shard heap.
-  Cycle next_wake_cycle() const;
-  bool is_wave_b(std::uint32_t slot) const {
-    return coord_slot_ != kNoSlot && slot > coord_slot_;
-  }
-  /// Advances one lockstep epoch or one window, never past `limit`.
-  void step_bounded(Cycle limit);
-  void step_sharded(bool event);
-  /// Runs the windowed epoch [now_, end): per-shard window bodies, the
-  /// barrier merge, the boundary flush, and (for L == 1) the sequential
-  /// tail.
-  void step_windowed(Cycle end);
-  void run_waves(bool wave_b);
-  void run_shard_wave(std::uint32_t shard, bool wave_b);
-  void run_shard_window(std::uint32_t shard);
-  void merge_shard_effects(Cycle window_len);
   Cycle run_loop(const std::function<bool()>& done, Cycle max_cycles,
                  Cycle pause_at, const char* phase);
   /// The dormant-component appendix of the hang diagnostic: every
@@ -332,11 +200,8 @@ class Engine {
 
   EngineMode mode_;
   std::vector<Slot> slots_;
-  /// Pending wakes for unowned slots (everything while no plan is
-  /// active; coordinator + sequential slots under a plan). Min-heap via
-  /// std::push_heap/pop_heap.
+  /// Pending wakes; min-heap via std::push_heap/pop_heap.
   std::vector<Wake> wakes_;
-  /// Active slots in the unowned set (see wakes_).
   std::size_t num_active_ = 0;
   /// Scan cursor: while step() is walking the slots, wakes for the
   /// current cycle targeting a slot at or before the cursor have missed
@@ -348,25 +213,6 @@ class Engine {
   Cycle now_ = 0;
   EnginePerf perf_;
   std::vector<SlotPerf> slot_perf_;
-
-  /// Sharded-execution state (inert while plan_.num_shards <= 1).
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  ShardPlan plan_;
-  ShardHooks shard_hooks_;
-  std::vector<ShardState> shard_states_;
-  std::uint32_t coord_slot_ = kNoSlot;
-  std::size_t seq_begin_ = 0;
-  std::uint64_t epoch_ = 0;
-  bool wave_b_ = false;  ///< wave selector, published before each barrier
-  /// Windowed-epoch controls: enabled when the plan requests window != 1
-  /// and the window hooks exist; window_cap_ == 0 means auto (bounded
-  /// only by the safety guards). Both published before the crew barrier.
-  bool windows_enabled_ = false;
-  bool windowed_epoch_ = false;  ///< crew selector: window body vs wave
-  Cycle window_cap_ = 0;
-  Cycle window_end_ = 0;
-  WindowPerf wperf_;
-  std::unique_ptr<ShardCrew> crew_;
 };
 
 }  // namespace glocks::sim

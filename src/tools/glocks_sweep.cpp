@@ -10,25 +10,6 @@
 //   --scale X             input scale in (0,1]             [1.0]
 //   --seeds n1,n2,...     workload seeds (--seed N works too)  [1]
 //   --jobs N              simulations run concurrently     [nproc]
-//   --shards N            shards each simulated machine runs on    [1]
-//                         (or GLOCKS_SHARDS when the flag is absent).
-//                         Pure execution strategy, like --jobs: CSV
-//                         bytes are identical for every value, and a
-//                         --manifest sweep may resume under a different
-//                         shard count.
-//   --shard-window L      lookahead window length for the sharded
-//                         kernel (or GLOCKS_SHARD_WINDOW): 1 = lockstep,
-//                         0 = auto [default], L > 1 = capped windows.
-//                         Execution strategy like --shards.
-//   --shard-map P         tile->shard ownership policy for every grid
-//                         point (or GLOCKS_SHARD_MAP): block [default],
-//                         stripe, quad, or profile. Execution strategy
-//                         like --shards — CSV bytes are identical under
-//                         every map.
-//   --shard-map-file F    with --shard-map profile: persist/reuse the
-//                         profiled map in F (or GLOCKS_SHARD_MAP_FILE),
-//                         so the grid pays for one warmup, not one per
-//                         point.
 //   --all                 shorthand for every workload
 //   --faults SPEC         fault-injection plan for every grid point.
 //                         SPEC is a bare rate ("0.001") or a key=value
@@ -65,7 +46,6 @@
 // emitted in grid order, so the CSV bytes are identical for any --jobs
 // value (tests/determinism_test.cpp holds us to that).
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -76,7 +56,6 @@
 #include "exec/job_pool.hpp"
 #include "exec/sweep.hpp"
 #include "fault/fault.hpp"
-#include "sim/shard.hpp"
 #include "tools/args.hpp"
 #include "workloads/registry.hpp"
 
@@ -98,7 +77,9 @@ std::vector<std::string> split(const std::string& csv) {
 
 int main(int argc, char** argv) {
   try {
-    const tools::Args args(argc, argv, {"all", "perf"});
+    const tools::Args args(argc, argv, {"all", "perf"},
+                           {"workloads", "locks", "cores", "scale", "seed",
+                            "seeds", "jobs", "faults", "manifest"});
 
     exec::SweepSpec spec;
     if (args.has("all")) {
@@ -118,7 +99,7 @@ int main(int argc, char** argv) {
     }
     for (const auto& cstr : split(args.get("cores", "32"))) {
       spec.core_counts.push_back(
-          static_cast<std::uint32_t>(std::stoul(cstr)));
+          static_cast<std::uint32_t>(tools::Args::parse_u64("cores", cstr)));
     }
     spec.scale = args.get_double("scale", 1.0);
 
@@ -129,11 +110,7 @@ int main(int argc, char** argv) {
     if (args.has("seeds")) {
       spec.seeds.clear();
       for (const auto& sstr : split(args.get("seeds"))) {
-        GLOCKS_CHECK(
-            sstr.find_first_not_of("0123456789") == std::string::npos,
-            "--seeds expects comma-separated integers, got '" << sstr
-                                                              << "'");
-        spec.seeds.push_back(std::stoull(sstr));
+        spec.seeds.push_back(tools::Args::parse_u64("seeds", sstr));
       }
       GLOCKS_CHECK(!spec.seeds.empty(), "--seeds needs at least one seed");
     } else {
@@ -143,48 +120,6 @@ int main(int argc, char** argv) {
     spec.jobs = static_cast<unsigned>(
         args.get_u64("jobs", exec::default_jobs()));
     GLOCKS_CHECK(spec.jobs >= 1, "--jobs must be >= 1");
-
-    if (args.has("shards")) {
-      spec.num_shards =
-          static_cast<std::uint32_t>(args.get_u64("shards", 1));
-    } else if (const char* env = std::getenv("GLOCKS_SHARDS");
-               env != nullptr && *env != '\0') {
-      spec.num_shards =
-          static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
-    }
-    GLOCKS_CHECK(spec.num_shards >= 1, "--shards must be >= 1");
-
-    if (args.has("shard-window")) {
-      spec.shard_window =
-          static_cast<std::uint32_t>(args.get_u64("shard-window", 0));
-    } else if (const char* env = std::getenv("GLOCKS_SHARD_WINDOW");
-               env != nullptr && *env != '\0') {
-      spec.shard_window =
-          static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
-    }
-
-    std::string map_name = args.get("shard-map");
-    if (map_name.empty()) {
-      if (const char* env = std::getenv("GLOCKS_SHARD_MAP");
-          env != nullptr) {
-        map_name = env;
-      }
-    }
-    if (!map_name.empty()) {
-      const auto map = sim::parse_shard_map(map_name);
-      GLOCKS_CHECK(map.has_value(),
-                   "unknown shard map '" << map_name
-                                         << "' (block, stripe, quad, "
-                                            "profile)");
-      spec.shard_map = *map;
-    }
-    spec.shard_map_file = args.get("shard-map-file");
-    if (spec.shard_map_file.empty()) {
-      if (const char* env = std::getenv("GLOCKS_SHARD_MAP_FILE");
-          env != nullptr) {
-        spec.shard_map_file = env;
-      }
-    }
 
     if (args.has("faults")) {
       spec.fault = fault::parse_fault_spec(args.get("faults"));

@@ -36,36 +36,6 @@
 //                        the armed domains' fault/recovery sections to
 //                        the report (and CSV/JSON output).
 //   --fault-seed N       fault-injector seed (overrides seed= in SPEC)
-//   --shards N           host threads the machine is sharded across   [1]
-//                        (or the GLOCKS_SHARDS env var when the flag is
-//                        absent). An execution strategy, not a model
-//                        parameter: output is bit-identical for every N.
-//                        With --restore, the verified replay re-shards
-//                        to N for the remaining run. Incompatible with
-//                        --trace (trace events are appended from core
-//                        ticks, which run on shard workers).
-//   --shard-window L     conservative-lookahead window length for the
-//                        sharded kernel (or GLOCKS_SHARD_WINDOW when the
-//                        flag is absent): 1 = per-cycle lockstep, 0 =
-//                        auto (windows run to the safety bounds, the
-//                        default), L > 1 caps windows at L cycles. An
-//                        execution strategy like --shards — output is
-//                        bit-identical for every value. With --restore,
-//                        applies to the post-verification tail.
-//   --shard-map P        tile->shard ownership policy for the sharded
-//                        kernel (or GLOCKS_SHARD_MAP when the flag is
-//                        absent): block (contiguous bands, the default),
-//                        stripe (round-robin), quad (recursive-bisection
-//                        blocks minimizing the boundary cut), or profile
-//                        (load-balanced from per-tile activity — a map
-//                        file, else a short in-run warmup). An execution
-//                        strategy like --shards — output is bit-identical
-//                        under every map. With --restore, the verified
-//                        replay re-maps the tail to P.
-//   --shard-map-file F   with --shard-map profile: load the map from F
-//                        when it exists and fits; otherwise the warmup's
-//                        map is saved to F so later runs (e.g. sweep
-//                        jobs) reuse one profiling pass.
 //   --perf               print a simulator-throughput summary (wall time,
 //                        Mcycles/s, kernel tick/skip counters) to stderr;
 //                        stdout output is unchanged
@@ -83,18 +53,15 @@
 //                        bit-identical to the uninterrupted run's.
 //   --list               list available workloads and lock kinds
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <iostream>
-#include <optional>
 
 #include "ckpt/checkpoint.hpp"
 #include "fault/fault.hpp"
 #include "harness/auto_policy.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
-#include "sim/shard.hpp"
 #include "tools/args.hpp"
 #include "trace/tracer.hpp"
 #include "workloads/registry.hpp"
@@ -118,66 +85,15 @@ int list_everything() {
   return 0;
 }
 
-/// --shards when given, else GLOCKS_SHARDS from the environment, else
-/// nothing (callers pick their own default).
-std::optional<std::uint32_t> requested_shards(const tools::Args& args) {
-  if (args.has("shards")) {
-    const std::uint64_t n = args.get_u64("shards", 1);
-    GLOCKS_CHECK(n >= 1, "--shards needs a positive count");
-    return static_cast<std::uint32_t>(n);
-  }
-  const char* env = std::getenv("GLOCKS_SHARDS");
-  if (env != nullptr && *env != '\0') {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    GLOCKS_CHECK(n >= 1, "GLOCKS_SHARDS needs a positive count");
-    return static_cast<std::uint32_t>(n);
-  }
-  return std::nullopt;
-}
-
-/// --shard-window when given, else GLOCKS_SHARD_WINDOW from the
-/// environment, else nothing (the config default — auto — applies).
-std::optional<std::uint32_t> requested_window(const tools::Args& args) {
-  if (args.has("shard-window")) {
-    return static_cast<std::uint32_t>(args.get_u64("shard-window", 0));
-  }
-  const char* env = std::getenv("GLOCKS_SHARD_WINDOW");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
-  }
-  return std::nullopt;
-}
-
-/// --shard-map when given, else GLOCKS_SHARD_MAP from the environment,
-/// else nothing (the config default — block — applies).
-std::optional<ShardMapPolicy> requested_map(const tools::Args& args) {
-  std::string name = args.get("shard-map");
-  if (name.empty()) {
-    const char* env = std::getenv("GLOCKS_SHARD_MAP");
-    if (env != nullptr) name = env;
-  }
-  if (name.empty()) return std::nullopt;
-  const auto p = sim::parse_shard_map(name);
-  GLOCKS_CHECK(p.has_value(), "unknown shard map '"
-                                  << name
-                                  << "' (block, stripe, quad, profile)");
-  return p;
-}
-
-/// --shard-map-file when given, else GLOCKS_SHARD_MAP_FILE.
-std::string requested_map_file(const tools::Args& args) {
-  const std::string f = args.get("shard-map-file");
-  if (!f.empty()) return f;
-  const char* env = std::getenv("GLOCKS_SHARD_MAP_FILE");
-  return env != nullptr ? env : "";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const tools::Args args(argc, argv,
-                           {"auto-assign", "csv", "json", "list", "perf"});
+    const tools::Args args(
+        argc, argv, {"auto-assign", "csv", "json", "list", "perf"},
+        {"workload", "lock", "regular-lock", "cores", "scale", "seed",
+         "glocks", "gline-latency", "trace", "replay", "faults",
+         "fault-seed", "checkpoint-every", "checkpoint-dir", "restore"});
     if (args.has("list") || argc == 1) return list_everything();
 
     if (args.has("restore")) {
@@ -188,9 +104,7 @@ int main(int argc, char** argv) {
                    "--trace");
       const std::string path = args.get("restore");
       const auto meta = ckpt::read_checkpoint_meta(path);
-      const auto result =
-          ckpt::restore_and_run(path, requested_shards(args),
-                                requested_window(args), requested_map(args));
+      const auto result = ckpt::restore_and_run(path);
       if (args.has("csv")) {
         harness::write_csv_header(std::cout, meta.spec.cmp.fault.enabled,
                                   meta.spec.cmp.fault.mesh.enabled);
@@ -218,14 +132,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(args.get_u64("glocks", 2));
     cfg.cmp.gline.signal_latency = args.get_u64("gline-latency", 1);
     cfg.seed = args.get_u64("seed", 1);
-    if (const auto shards = requested_shards(args)) {
-      cfg.cmp.num_shards = *shards;
-    }
-    if (const auto window = requested_window(args)) {
-      cfg.cmp.shard_window = *window;
-    }
-    if (const auto map = requested_map(args)) cfg.cmp.shard_map = *map;
-    cfg.cmp.shard_map_file = requested_map_file(args);
 
     if (args.has("faults")) {
       cfg.cmp.fault = fault::parse_fault_spec(args.get("faults"));

@@ -152,6 +152,26 @@ TEST(CkptEquivalence, McsRoundTripsAcrossASpinPark) {
   check_resume_equivalence(spec, ::testing::TempDir(), at);
 }
 
+TEST(CkptEquivalence, EachOfTwoPausesInOneRunRestores) {
+  // The writer pauses twice, but the restore verifier replays with a
+  // single pause, so nothing serialized may depend on how earlier pauses
+  // split the run (a pause splits an idle clock jump, for one).
+  const ckpt::RunSpec spec = base_spec(workloads::registry()[0].name);
+  const harness::RunResult r0 = run_plain(spec);
+  ASSERT_GT(r0.cycles, 30u) << "run too short to pause twice";
+  const Cycle p1 = r0.cycles / 3;
+  const Cycle p2 = 2 * r0.cycles / 3;
+  std::vector<std::string> written;
+  const harness::RunResult paused = ckpt::run_with_checkpoints(
+      spec, {p1, p2}, ::testing::TempDir(), &written);
+  ASSERT_EQ(written.size(), 2u);
+  EXPECT_EQ(test::diff_results(r0, paused), "");
+  for (const std::string& path : written) {
+    const harness::RunResult restored = ckpt::restore_and_run(path);
+    EXPECT_EQ(test::diff_results(r0, restored), "") << path;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Rejection contract on real checkpoint files.
 
@@ -214,23 +234,39 @@ TEST_F(CkptRejection, NewerFormatVersionIsBadVersion) {
             ckpt::CkptError::Code::kBadVersion);
 }
 
-TEST_F(CkptRejection, VersionFiveArchiveIsBadVersion) {
-  // v5 archives predate the spin-parking fields of the core and L1
-  // sections; they must be refused up front, naming the version.
+// Archives written before the current format must be refused up front,
+// naming the version: v5 predates the spin-parking fields of the core and
+// L1 sections, and v6 still carries the execution-strategy fields v7
+// dropped from the run spec and the meta section.
+class CkptOldVersion : public CkptRejection,
+                       public ::testing::WithParamInterface<std::uint32_t> {};
+
+TEST_P(CkptOldVersion, ArchiveIsBadVersion) {
+  const std::uint32_t version = GetParam();
   std::vector<char> old = bytes_;
   for (int i = 0; i < 4; ++i) {
-    old[8 + static_cast<std::size_t>(i)] = static_cast<char>(i == 0 ? 5 : 0);
+    old[8 + static_cast<std::size_t>(i)] =
+        static_cast<char>((version >> (8 * i)) & 0xFF);
   }
   try {
-    ckpt::restore_and_run(write_variant("v5.ckpt", old));
-    ADD_FAILURE() << "version-5 archive unexpectedly restored";
+    ckpt::restore_and_run(
+        write_variant("v" + std::to_string(version) + ".ckpt", old));
+    ADD_FAILURE() << "version-" << version << " archive unexpectedly restored";
   } catch (const ckpt::CkptError& e) {
     EXPECT_EQ(e.code(), ckpt::CkptError::Code::kBadVersion);
-    EXPECT_NE(std::string(e.what()).find("format version 5"),
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format version " + std::to_string(version)),
               std::string::npos)
-        << e.what();
+        << what;
+    EXPECT_NE(what.find("older incompatible build"), std::string::npos)
+        << what;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(PreV7, CkptOldVersion, ::testing::Values(5u, 6u),
+                         [](const auto& info) {
+                           return "v" + std::to_string(info.param);
+                         });
 
 TEST_F(CkptRejection, NotAnArchiveIsBadMagic) {
   // Longer than the archive header, so the magic check (not the

@@ -19,9 +19,9 @@
 #include "ckpt/manifest.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/sweep.hpp"
+#include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "result_diff.hpp"
-#include "shard_env.hpp"
 #include "workloads/registry.hpp"
 
 namespace glocks {
@@ -35,9 +35,6 @@ harness::RunResult run_once(const workloads::RegistryEntry& entry,
   harness::RunConfig cfg;
   cfg.policy.highly_contended = kind;
   cfg.seed = seed;
-  cfg.cmp.num_shards = test::env_shards();
-  cfg.cmp.shard_window = test::env_shard_window();
-  cfg.cmp.shard_map = test::env_shard_map();
   return harness::run_workload(*wl, cfg);
 }
 
@@ -57,6 +54,10 @@ TEST_P(EveryWorkload, RepeatedRunsAreBitIdentical) {
   for (const auto& r : repeats) {
     const std::string diff = test::diff_results(serial, r);
     EXPECT_EQ(diff, "") << entry.name << ": " << diff;
+    // The human-readable report is derived from the result, but byte
+    // equality there also covers its float formatting paths.
+    EXPECT_EQ(harness::summary_text(serial), harness::summary_text(r))
+        << entry.name;
   }
 }
 
@@ -85,9 +86,6 @@ harness::RunResult run_faulted(const workloads::RegistryEntry& entry,
   harness::RunConfig cfg;
   cfg.policy.highly_contended = locks::LockKind::kGlock;
   cfg.seed = seed;
-  cfg.cmp.num_shards = test::env_shards();
-  cfg.cmp.shard_window = test::env_shard_window();
-  cfg.cmp.shard_map = test::env_shard_map();
   cfg.cmp.fault.enabled = true;
   cfg.cmp.fault.seed = seed * 31 + 5;
   cfg.cmp.fault.drop_rate = 1e-3;

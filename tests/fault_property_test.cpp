@@ -11,7 +11,6 @@
 #include <tuple>
 
 #include "harness/runner.hpp"
-#include "shard_env.hpp"
 #include "workloads/registry.hpp"
 
 namespace glocks {
@@ -41,9 +40,6 @@ TEST_P(FaultSoak, CompletesAndLedgerReconciles) {
   auto wl = entry.make(0.25);
   harness::RunConfig cfg;
   cfg.cmp.num_cores = 16;
-  cfg.cmp.num_shards = test::env_shards();
-  cfg.cmp.shard_window = test::env_shard_window();
-  cfg.cmp.shard_map = test::env_shard_map();
   cfg.policy.highly_contended = locks::LockKind::kGlock;
   cfg.seed = seed;
   cfg.cmp.fault.enabled = true;
@@ -101,9 +97,6 @@ TEST_P(MeshFaultSoak, CompletesAndLedgerReconciles) {
   auto wl = entry.make(0.25);
   harness::RunConfig cfg;
   cfg.cmp.num_cores = 16;
-  cfg.cmp.num_shards = test::env_shards();
-  cfg.cmp.shard_window = test::env_shard_window();
-  cfg.cmp.shard_map = test::env_shard_map();
   cfg.policy.highly_contended = locks::LockKind::kGlock;
   cfg.seed = seed;
   cfg.cmp.fault.seed = seed * 1000003 + std::get<1>(GetParam());

@@ -82,47 +82,6 @@ TEST(Engine, HangDiagnosticListsDormantComponents) {
   }
 }
 
-TEST(Engine, ShardedHangDiagnosticNamesOwnerEpochAndClock) {
-  // Under sharded execution the hang report must also say WHERE each
-  // stuck component lives: the owning shard, the lockstep epoch, and
-  // the shard-local clock — otherwise a cross-shard missed wake is
-  // undebuggable (every shard sits at the barrier looking innocent).
-  struct OneShotSleeper final : Component {
-    void tick(Cycle now) override { sleep_until(now + 3); }
-  };
-  struct Spinner final : Component {
-    void tick(Cycle) override {}
-  };
-  Engine e;
-  Spinner spinner;
-  OneShotSleeper sleeper;
-  e.add(spinner, "the-spinner");
-  e.add(sleeper, "the-sleeper");
-  ShardPlan plan;
-  plan.num_shards = 2;
-  plan.owner = {0, 1};  // one component per shard, no coordinator
-  e.set_shard_plan(std::move(plan));
-  try {
-    e.run_until([] { return false; }, 50);
-    FAIL() << "expected the cycle-limit hang";
-  } catch (const SimError& err) {
-    const std::string what = err.what();
-    // The diagnostic names the kernel flavour (lockstep or windowed);
-    // a bare plan with no window hooks runs lockstep.
-    EXPECT_NE(what.find("sharded execution: 2 shards (lockstep)"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("epoch 50"), std::string::npos) << what;
-    EXPECT_NE(what.find("barrier clock @50"), std::string::npos) << what;
-    // The dormant sleeper is attributed to its owning shard.
-    EXPECT_NE(what.find("the-sleeper"), std::string::npos) << what;
-    EXPECT_NE(what.find("[shard 1, epoch 50, local clock @50]"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("last wake scheduled"), std::string::npos) << what;
-  }
-}
-
 TEST(Engine, ComponentSeesMonotonicCycles) {
   struct CycleChecker final : Component {
     Cycle last = kNoCycle;

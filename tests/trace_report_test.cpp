@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
@@ -104,7 +105,8 @@ TEST(Report, AllFormatsContainTheHeadlineNumbers) {
 TEST(Args, ParsesFlagsAndValues) {
   const char* argv[] = {"prog",    "--workload", "SCTR",  "--cores",
                         "16",      "--csv",      "--scale", "0.5"};
-  tools::Args args(8, argv, {"csv", "json"});
+  tools::Args args(8, argv, {"csv", "json"},
+                   {"workload", "cores", "scale"});
   EXPECT_EQ(args.get("workload"), "SCTR");
   EXPECT_EQ(args.get_u64("cores", 32), 16u);
   EXPECT_TRUE(args.has("csv"));
@@ -113,11 +115,65 @@ TEST(Args, ParsesFlagsAndValues) {
   EXPECT_EQ(args.get("absent", "dflt"), "dflt");
 }
 
+/// The SimError message `fn` throws, or "" when it does not throw.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Args, RejectsMalformedInput) {
   const char* bad1[] = {"prog", "stray"};
-  EXPECT_THROW(tools::Args(2, bad1, {}), SimError);
+  EXPECT_THROW(tools::Args(2, bad1, {}, {}), SimError);
   const char* bad2[] = {"prog", "--needs-value"};
-  EXPECT_THROW(tools::Args(2, bad2, {}), SimError);
+  EXPECT_THROW(tools::Args(2, bad2, {}, {"needs-value"}), SimError);
+
+  // An undeclared flag is an error naming it, never silently ignored:
+  // a misspelt --lock would otherwise run the default lock.
+  const char* typo[] = {"prog", "--workload", "SCTR", "--lokc", "mcs"};
+  const std::string typo_err = error_of(
+      [&] { tools::Args(5, typo, {"csv"}, {"workload", "lock"}); });
+  EXPECT_NE(typo_err.find("unknown flag --lokc"), std::string::npos)
+      << typo_err;
+  const char* retired[] = {"prog", "--threads", "4"};
+  EXPECT_NE(error_of([&] { tools::Args(3, retired, {}, {"cores"}); })
+                .find("unknown flag --threads"),
+            std::string::npos);
+  const char* bool_typo[] = {"prog", "--jsn"};
+  EXPECT_NE(error_of([&] { tools::Args(2, bool_typo, {"json"}, {}); })
+                .find("unknown flag --jsn"),
+            std::string::npos);
+
+  // Malformed numbers name the flag and the value, not a bare "stoull".
+  const char* nums[] = {"prog", "--cores", "abc", "--seed", "-1",
+                        "--jobs", "4x", "--big", "99999999999999999999",
+                        "--scale", "half", "--ratio", ""};
+  const tools::Args args(13, nums, {},
+                         {"cores", "seed", "jobs", "big", "scale", "ratio"});
+  const std::string cores_err = error_of([&] { args.get_u64("cores", 32); });
+  EXPECT_NE(cores_err.find("--cores"), std::string::npos) << cores_err;
+  EXPECT_NE(cores_err.find("'abc'"), std::string::npos) << cores_err;
+  EXPECT_EQ(cores_err.find("stoull"), std::string::npos) << cores_err;
+  EXPECT_NE(error_of([&] { args.get_u64("seed", 1); }).find("'-1'"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { args.get_u64("jobs", 1); }).find("'4x'"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { args.get_u64("big", 1); }).find("--big"),
+            std::string::npos);
+  const std::string scale_err =
+      error_of([&] { args.get_double("scale", 1.0); });
+  EXPECT_NE(scale_err.find("--scale"), std::string::npos) << scale_err;
+  EXPECT_NE(scale_err.find("'half'"), std::string::npos) << scale_err;
+  EXPECT_NE(error_of([&] { args.get_double("ratio", 1.0); }).find("--ratio"),
+            std::string::npos);
+  // List elements parse through the same check.
+  EXPECT_NE(error_of([] { tools::Args::parse_u64("cores", "8,x"); })
+                .find("--cores expects a non-negative integer, got '8,x'"),
+            std::string::npos);
 }
 
 }  // namespace
