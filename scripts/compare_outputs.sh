@@ -7,6 +7,10 @@
 #     fig10_ed2p and table4_speedups;
 #   - `glocksim --csv` and `glocksim --json` for every registry workload
 #     under MCS and GLock at 32 cores;
+#   - `glocksim --json` at 256 cores (scale 0.1, G-line latency 2) for
+#     SCTR under MCS, GLock and TATAS and RAYTR under MCS and GLock —
+#     machines whose engine slots and mesh tiles span several 64-bit
+#     worklist words;
 #   - a clean and a G-line+mesh-faulted `glocks-sweep` CSV, each at
 #     --jobs 1 and --jobs 4 (the new build's --jobs 1 and --jobs 4 CSVs
 #     must also match each other).
@@ -81,6 +85,14 @@ for w in $workloads; do
           "--$fmt"
     done
   done
+done
+
+for case in SCTR:mcs SCTR:glock SCTR:tatas RAYTR:mcs RAYTR:glock; do
+  w="${case%%:*}"
+  lock="${case##*:}"
+  run_both "glocksim-$w-$lock-256.json" src/tools/glocksim \
+      --workload "$w" --lock "$lock" --cores 256 --gline-latency 2 \
+      --scale 0.1 --json
 done
 
 GRID=(--all --locks mcs,glock --cores 16,32 --seeds 1,2 --scale 0.5)

@@ -66,6 +66,7 @@ RunResult run_workload(Workload& workload, const RunConfig& cfg,
     r.perf.msg.express_hits = xp.hits;
     r.perf.msg.express_declined = xp.declined;
     r.perf.msg.express_materialized = xp.materialized;
+    r.perf.msg.router_visits = sys.mesh().router_visits();
     for (CoreId c = 0; c < sys.num_cores(); ++c) {
       const auto& sp = sys.hierarchy().l1(c).spin_stats();
       r.perf.spin.parks += sp.parks;

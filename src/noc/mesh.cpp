@@ -22,10 +22,13 @@ Mesh::Mesh(std::uint32_t num_tiles, std::uint32_t width, NocConfig cfg)
   GLOCKS_CHECK(width_ >= 1, "mesh width must be positive");
   const RouterTiming timing{cfg_.router_latency, cfg_.link_latency,
                             cfg_.input_queue_depth};
+  occupied_.resize(num_tiles);
+  backlogged_.resize(num_tiles);
   routers_.reserve(num_tiles);
   for (std::uint32_t t = 0; t < num_tiles; ++t) {
-    routers_.push_back(std::make_unique<Router>(t % width_, t / width_,
-                                                width_, timing, stats_));
+    routers_.push_back(std::make_unique<Router>(
+        t % width_, t / width_, width_, timing, stats_, occupied_.word(t),
+        common::WordBitset::mask(t)));
   }
   for (std::uint32_t t = 0; t < num_tiles; ++t) {
     const std::uint32_t x = t % width_;
@@ -100,6 +103,7 @@ void Mesh::send(Packet&& p, Cycle now) {
   const bool express = try_express(p, now);
   ++in_flight_;
   if (express) return;  // try_express took ownership and armed the wake
+  backlogged_.set(p.src);
   auto& nic = nics_[p.src];
   nic.outbox[static_cast<std::size_t>(p.cls)].push_back(std::move(p));
   wake();  // a dormant mesh has new work (no-op when already active)
@@ -425,22 +429,33 @@ void Mesh::tick(Cycle now) {
   if (fault_ != nullptr) fault_->advance(now);
   // NICs drain into routers first so an injection made during cycle N-1
   // (endpoint tick) can enter the router fabric at cycle N. Classes
-  // drain independently into their own virtual channels.
-  for (std::uint32_t t = 0; t < nics_.size(); ++t) {
+  // drain independently into their own virtual channels. Only NICs with
+  // a backlog are visited; the drain sends nothing, so none is added
+  // mid-pass.
+  backlogged_.for_each([this, now](std::size_t t) {
+    bool drained = true;
     for (auto& outbox : nics_[t].outbox) {
       while (!outbox.empty()) {
         if (!routers_[t]->inject(std::move(outbox.front()), now)) break;
         outbox.pop_front();
       }
+      drained = drained && outbox.empty();
     }
-  }
+    if (drained) backlogged_.reset(t);
+  });
   // Express deliveries eject here, matching the phase where the router
   // loop hands packets to sinks (after the NIC drain, so a send made
   // from inside a sink is injected next cycle on either path).
   deliver_due_express(now);
-  for (std::uint32_t t = 0; t < routers_.size(); ++t) {
-    routers_[t]->tick(now);
-  }
+  // Only occupied routers are ticked: an idle router tick has no
+  // architectural effect. A router that a tick fills above the cursor is
+  // still visited this cycle, as in a loop over every tile.
+  occupied_.for_each([this, now](std::size_t t) {
+    Router& r = *routers_[t];
+    r.tick(now);
+    ++router_visits_;
+    if (r.idle()) occupied_.reset(t);
+  });
   // A non-empty fabric may move a packet any cycle (and backpressure
   // resolution has no wake signal), so only an empty one may sleep.
   // Express flights don't count: each carries its own armed wake. With
@@ -525,6 +540,12 @@ void Mesh::load(ckpt::ArchiveReader& a, const PayloadCodec& codec) {
   }
   for (const auto& r : routers_) r->load(a, codec);
   if (fault_ != nullptr) fault_->load(a);
+  for (std::uint32_t t = 0; t < nics_.size(); ++t) {
+    const auto& outbox = nics_[t].outbox;
+    backlogged_.assign(t, std::any_of(outbox.begin(), outbox.end(),
+                                      [](const auto& q) { return !q.empty(); }));
+    occupied_.assign(t, !routers_[t]->idle());
+  }
 }
 
 std::uint32_t Mesh::hop_distance(CoreId a, CoreId b) const {

@@ -10,6 +10,7 @@
 #include "common/config.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/types.hpp"
+#include "common/word_bitset.hpp"
 #include "fault/fault.hpp"
 #include "noc/message.hpp"
 #include "noc/router.hpp"
@@ -36,7 +37,10 @@ struct ExpressPerf {
 };
 
 /// The whole on-chip data network. One sim::Component: ticking the mesh
-/// ticks every NIC and router in a fixed order.
+/// drains the NICs with a backlog, then ticks the routers that hold
+/// packets, each in tile order. Idle NICs and routers are never visited
+/// — an idle router tick has no architectural effect — so a mesh tick
+/// costs the traffic in flight, not the number of tiles.
 ///
 /// Endpoints send with `send()` (unbounded NIC outbox, so callers never
 /// handle backpressure) and receive through the per-tile sink registered
@@ -91,6 +95,9 @@ class Mesh final : public sim::Component {
   const TrafficStats& stats() const { return stats_; }
   TrafficStats& stats() { return stats_; }
   const ExpressPerf& express_perf() const { return xperf_; }
+  /// Router ticks actually performed (self-measurement for `--perf`:
+  /// not serialized, never read by the simulation).
+  std::uint64_t router_visits() const { return router_visits_; }
 
   /// True when no packet is anywhere in the network (for drain tests).
   bool idle() const { return in_flight_ == 0; }
@@ -121,7 +128,8 @@ class Mesh final : public sim::Component {
   /// counter, NIC outboxes, every router's queues, and the active
   /// express flights (kept virtual — saving must not perturb the
   /// continuing run, so flights are written as their analytic
-  /// trajectories, payloads drained to portable form via `codec`).
+  /// trajectories, payloads drained to portable form via `codec`). The
+  /// NIC and router worklists are derived state: load() rebuilds them.
   void save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const;
   void load(ckpt::ArchiveReader& a, const PayloadCodec& codec);
 
@@ -178,6 +186,14 @@ class Mesh final : public sim::Component {
   TrafficStats stats_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<Nic> nics_;
+  /// Routers that may hold packets. A router sets its own bit when its
+  /// occupancy goes 0 -> 1; tick() clears it after a tick that leaves
+  /// the router idle. Every occupied router's bit is set.
+  common::WordBitset occupied_;
+  /// NICs with a non-empty outbox: send() sets the bit, the drain in
+  /// tick() clears it once every outbox is empty.
+  common::WordBitset backlogged_;
+  std::uint64_t router_visits_ = 0;
   /// The same in-flight-tracking sinks the routers hold; express
   /// delivery ejects through these without touching a router.
   std::vector<Router::Sink> sinks_;

@@ -113,8 +113,13 @@ class Router {
   using Sink = std::function<void(Packet&&)>;
 
   /// `x`,`y` — mesh coordinates; `mesh_w` — mesh width for XY routing.
+  /// `occupied_word` / `occupied_mask` locate this router's bit in the
+  /// mesh's occupied-router worklist: the router sets it whenever its
+  /// occupancy goes 0 -> 1 (the mesh clears it after a tick that leaves
+  /// the router idle). The word must outlive the router.
   Router(std::uint32_t x, std::uint32_t y, std::uint32_t mesh_w,
-         RouterTiming timing, TrafficStats& stats);
+         RouterTiming timing, TrafficStats& stats,
+         std::uint64_t* occupied_word, std::uint64_t occupied_mask);
 
   std::uint32_t x() const { return x_; }
   std::uint32_t y() const { return y_; }
@@ -190,6 +195,11 @@ class Router {
   static constexpr std::size_t kSlots = kNumDirs * kNumMsgClasses;
 
   static std::size_t idx(Dir d) { return static_cast<std::size_t>(d); }
+  /// Counts one more resident packet, marking the router occupied in
+  /// the mesh worklist on the 0 -> 1 edge.
+  void occupy() {
+    if (occupancy_++ == 0) *occupied_word_ |= occupied_mask_;
+  }
   void forward(Dir out, Packet&& p, Cycle now);
 
   std::uint32_t x_, y_, mesh_w_;
@@ -208,6 +218,8 @@ class Router {
   /// Packets resident in this router (all input FIFOs + local_out_); lets
   /// an idle tick skip the kSlots arbitration scan entirely.
   std::uint32_t occupancy_ = 0;
+  std::uint64_t* occupied_word_;  ///< this router's worklist word and bit
+  std::uint64_t occupied_mask_;
 };
 
 }  // namespace glocks::noc

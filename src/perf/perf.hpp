@@ -30,9 +30,10 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Message hot-path counters: the coherence-message pool and the mesh's
-/// express fast-forward path. Like the engine block, strictly
-/// observational — the counters never feed back into simulation state.
+/// Message hot-path counters: the coherence-message pool, the mesh's
+/// express fast-forward path and its router worklist. Like the engine
+/// block, strictly observational — the counters never feed back into
+/// simulation state.
 struct MsgPathPerf {
   std::uint64_t pool_heap_allocs = 0;  ///< slab mallocs (warmup only)
   std::uint64_t pool_heap_bytes = 0;   ///< bytes of slab backing store
@@ -42,6 +43,7 @@ struct MsgPathPerf {
   std::uint64_t express_hits = 0;         ///< packets delivered analytically
   std::uint64_t express_declined = 0;     ///< fabric busy / conflict at send
   std::uint64_t express_materialized = 0; ///< flights demoted mid-flight
+  std::uint64_t router_visits = 0;  ///< router ticks the mesh performed
 
   /// Fraction of express-eligible sends that completed analytically.
   double express_hit_rate() const;

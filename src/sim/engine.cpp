@@ -27,14 +27,7 @@ void Component::sleep() {
   if (engine_ == nullptr || engine_->mode_ != EngineMode::kEventDriven) {
     return;
   }
-  engine_->deactivate(slot_);
-}
-
-void Engine::deactivate(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (!s.active) return;
-  s.active = false;
-  --num_active_;
+  engine_->active_.reset(slot_);
 }
 
 void Component::sleep_until(Cycle at) {
@@ -47,8 +40,9 @@ void Engine::add(Component& c, std::string_view name) {
                "component registered with two engines");
   c.engine_ = this;
   c.slot_ = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(Slot{&c, /*active=*/true});
-  ++num_active_;
+  slots_.push_back(Slot{&c});
+  active_.resize(slots_.size());
+  active_.set(c.slot_);
   SlotPerf sp;
   sp.name = name.empty() ? ("slot" + std::to_string(c.slot_))
                          : std::string(name);
@@ -58,13 +52,6 @@ void Engine::add(Component& c, std::string_view name) {
 void Engine::push_wake(std::uint32_t slot, Cycle at) {
   wakes_.push_back(Wake{at, slot});
   std::push_heap(wakes_.begin(), wakes_.end(), std::greater<>{});
-}
-
-void Engine::activate(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (s.active) return;
-  s.active = true;
-  ++num_active_;
 }
 
 void Engine::schedule(std::uint32_t slot, Cycle at) {
@@ -82,7 +69,7 @@ void Engine::schedule(std::uint32_t slot, Cycle at) {
       // cycle — exactly when it would have seen it under the serial loop.
       push_wake(slot, now_ + 1);
     } else {
-      activate(slot);
+      active_.set(slot);
     }
     return;
   }
@@ -94,21 +81,33 @@ void Engine::activate_due() {
     const std::uint32_t slot = wakes_.front().slot;
     std::pop_heap(wakes_.begin(), wakes_.end(), std::greater<>{});
     wakes_.pop_back();
-    activate(slot);
+    active_.set(slot);
   }
 }
 
+void Engine::tick_slot(std::size_t slot) {
+  scan_pos_ = slot;
+  slots_[slot].c->tick(now_);
+  slots_[slot].last_tick = now_;
+  ++slot_perf_[slot].ticks;
+}
+
 void Engine::step() {
-  const bool event = mode_ == EngineMode::kEventDriven;
-  if (event) activate_due();
   std::uint64_t executed = 0;
   in_scan_ = true;
-  for (scan_pos_ = 0; scan_pos_ < slots_.size(); ++scan_pos_) {
-    if (event && !slots_[scan_pos_].active) continue;
-    slots_[scan_pos_].c->tick(now_);
-    slots_[scan_pos_].last_tick = now_;
-    ++slot_perf_[scan_pos_].ticks;
-    ++executed;
+  if (mode_ == EngineMode::kEventDriven) {
+    activate_due();
+    // Only awake slots cost anything. The scan re-reads the current
+    // word after each tick, so a slot woken mid-scan above the cursor
+    // ticks this cycle — as in the serial loop below.
+    active_.for_each([this, &executed](std::size_t slot) {
+      tick_slot(slot);
+      ++executed;
+    });
+  } else {
+    // The serial reference: every slot, every cycle.
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot) tick_slot(slot);
+    executed = slots_.size();
   }
   in_scan_ = false;
   perf_.ticks_executed += executed;
@@ -135,7 +134,7 @@ Cycle Engine::run_loop(const std::function<bool()>& done, Cycle max_cycles,
     if (now_ >= max_cycles) [[unlikely]] {
       throw_hang(max_cycles, phase);
     }
-    if (mode_ == EngineMode::kEventDriven && num_active_ == 0) {
+    if (mode_ == EngineMode::kEventDriven && active_.none()) {
       // Everyone is dormant: jump straight to the earliest wake (never
       // past it), clamped to the cycle limit so an empty wake queue still
       // lands on the ordinary hang path above, and to the pause point so
@@ -160,8 +159,8 @@ Cycle Engine::run_loop(const std::function<bool()>& done, Cycle max_cycles,
 std::string Engine::dormancy_report() const {
   std::ostringstream oss;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (active_.test(i)) continue;
     const Slot& s = slots_[i];
-    if (s.active) continue;
     oss << "  " << slot_perf_[i].name << ": dormant";
     if (s.last_tick == kNoCycle) {
       oss << ", never ticked";
@@ -219,7 +218,7 @@ void Engine::save(ckpt::ArchiveWriter& a) const {
   a.u8(static_cast<std::uint8_t>(mode_));
   a.u64(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    a.b(slots_[i].active);
+    a.b(active_.test(i));
     a.u64(slots_[i].last_tick);
     a.u64(slots_[i].last_wake);
     a.u64(slot_perf_[i].ticks);
@@ -259,7 +258,7 @@ void Engine::load(ckpt::ArchiveReader& a) {
                "checkpoint slot count " << n << " != registered "
                                         << slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    slots_[i].active = a.b();
+    active_.assign(i, a.b());
     slots_[i].last_tick = a.u64();
     slots_[i].last_wake = a.u64();
     slot_perf_[i].ticks = a.u64();
@@ -275,9 +274,6 @@ void Engine::load(ckpt::ArchiveReader& a) {
     // Sorted ascending on (at, slot) is a valid min-heap layout as-is.
     wakes_.push_back(Wake{at, slot});
   }
-  num_active_ = static_cast<std::size_t>(
-      std::count_if(slots_.begin(), slots_.end(),
-                    [](const Slot& s) { return s.active; }));
   perf_.ticks_executed = a.u64();
   // clock_jumps / ticks_skipped / cycles_stepped / cycles_skipped keep
   // their current values (see save()).

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "common/word_bitset.hpp"
 
 namespace glocks::ckpt {
 class ArchiveWriter;
@@ -155,7 +156,7 @@ class Engine {
   const EnginePerf& perf() const { return perf_; }
   const std::vector<SlotPerf>& slot_perf() const { return slot_perf_; }
 
-  /// Serializes the kernel state — clock, per-slot active flags and
+  /// Serializes the kernel state — clock, per-slot active bits and
   /// last-tick/last-wake cycles, the pending-wake queue (canonically
   /// sorted), and the perf counters — as one archive-section payload.
   /// Components themselves are not owned here; they save separately.
@@ -169,7 +170,6 @@ class Engine {
 
   struct Slot {
     Component* c;
-    bool active;
     Cycle last_tick = kNoCycle;  ///< cycle of this slot's latest tick()
     Cycle last_wake = kNoCycle;  ///< latest wake cycle accepted for it
   };
@@ -185,10 +185,11 @@ class Engine {
   };
 
   void schedule(std::uint32_t slot, Cycle at);
-  void deactivate(std::uint32_t slot);
   void push_wake(std::uint32_t slot, Cycle at);
-  void activate(std::uint32_t slot);
   void activate_due();
+  /// Runs slot `slot`'s tick for the current cycle with the scan cursor
+  /// on it.
+  void tick_slot(std::size_t slot);
   Cycle run_loop(const std::function<bool()>& done, Cycle max_cycles,
                  Cycle pause_at, const char* phase);
   /// The dormant-component appendix of the hang diagnostic: every
@@ -202,11 +203,16 @@ class Engine {
   std::vector<Slot> slots_;
   /// Pending wakes; min-heap via std::push_heap/pop_heap.
   std::vector<Wake> wakes_;
-  std::size_t num_active_ = 0;
+  /// The active set, one bit per slot and the only record of which
+  /// slots are awake: save() writes it, load() rebuilds it, the dormancy
+  /// report reads it. Event mode's step() visits its set bits in slot
+  /// order.
+  common::WordBitset active_;
   /// Scan cursor: while step() is walking the slots, wakes for the
   /// current cycle targeting a slot at or before the cursor have missed
   /// their tick and are bumped to the next cycle (the serial N -> N+1
-  /// visibility rule).
+  /// visibility rule). A wake above the cursor sets its bit, which the
+  /// bitset scan picks up in the same pass.
   std::size_t scan_pos_ = 0;
   bool in_scan_ = false;
   std::function<std::string()> hang_reporter_;

@@ -5,12 +5,14 @@
 // registry workload under every spinning lock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "ckpt/archive.hpp"
 #include "common/check.hpp"
 #include "fault/fault.hpp"
 #include "harness/runner.hpp"
@@ -165,6 +167,174 @@ TEST(EngineEvent, SerialModeIgnoresSleep) {
   e.add(a);
   for (int i = 0; i < 5; ++i) e.step();
   EXPECT_EQ(log.size(), 5u);
+}
+
+// ---------------------------------------------------------------------
+// Active-set boundaries. The event kernel keeps its active slots in
+// 64-bit words; these machines span three words so mid-scan wakes cross
+// word boundaries in both directions.
+
+/// One piece of mail: `ttl` more relays to the next slot up.
+struct Mail {
+  int tag;
+  int ttl;
+};
+
+/// An observed delivery: (mailbox, cycle, tag, ttl).
+using MailLog = std::vector<std::tuple<int, Cycle, int, int>>;
+
+/// A scripted send: at cycle `at`, mailbox `from` posts `mail` to `to`.
+struct Send {
+  Cycle at;
+  int from;
+  int to;
+  Mail mail;
+};
+
+/// Drains and logs its inbox every tick, relays mail with ttl left to
+/// the next mailbox up (wrapping), performs its scripted sends, then
+/// sleeps until its next scripted send. Under kSerial it ticks every
+/// cycle, so its log holds the first cycle each piece of mail was
+/// observable — the log the event kernel must reproduce exactly.
+class Mailbox final : public Component {
+ public:
+  Mailbox(int id, std::vector<Mailbox>* all, const std::vector<Send>& script,
+          MailLog& log)
+      : id_(id), all_(all), script_(script), log_(log) {}
+
+  void post(Mail m) {
+    inbox_.push_back(m);
+    wake();
+  }
+  std::vector<Mail>& inbox() { return inbox_; }
+
+  void tick(Cycle now) override {
+    std::vector<Mail> mail;
+    mail.swap(inbox_);
+    for (const Mail& m : mail) {
+      log_.emplace_back(id_, now, m.tag, m.ttl);
+      if (m.ttl > 0) {
+        const auto next = static_cast<std::size_t>(id_ + 1) % all_->size();
+        (*all_)[next].post(Mail{m.tag, m.ttl - 1});
+      }
+    }
+    Cycle next_send = kNoCycle;
+    for (const Send& s : script_) {
+      if (s.from != id_) continue;
+      if (s.at == now) (*all_)[static_cast<std::size_t>(s.to)].post(s.mail);
+      if (s.at > now) next_send = std::min(next_send, s.at);
+    }
+    if (next_send == kNoCycle) {
+      sleep();
+    } else {
+      sleep_until(next_send);
+    }
+  }
+
+ private:
+  int id_;
+  std::vector<Mailbox>* all_;
+  const std::vector<Send>& script_;
+  MailLog& log_;
+  std::vector<Mail> inbox_;
+};
+
+constexpr int kMailboxes = 140;  // slots 0..139: three active-set words
+
+/// A machine of kMailboxes mailboxes running `script` on one engine.
+struct PostOffice {
+  PostOffice(EngineMode mode, const std::vector<Send>& script)
+      : engine(mode) {
+    boxes.reserve(kMailboxes);
+    for (int i = 0; i < kMailboxes; ++i) {
+      boxes.emplace_back(i, &boxes, script, log);
+    }
+    for (Mailbox& b : boxes) engine.add(b);
+  }
+  void run_to(Cycle end) {
+    engine.run_until([&] { return engine.now() >= end; }, end);
+  }
+
+  Engine engine;
+  MailLog log;
+  std::vector<Mailbox> boxes;
+};
+
+const std::vector<Send>& boundary_script() {
+  static const std::vector<Send> script = {
+      {3, 60, 61, {1, 5}},    // relays 61..66 in one cycle: 63 -> 64
+      {5, 64, 63, {2, 0}},    // 64 -> 63: already passed, next cycle
+      {7, 125, 126, {3, 4}},  // relays 126..130 in one cycle: 127 -> 128
+      {9, 128, 127, {4, 0}},  // 128 -> 127: next cycle
+      {11, 63, 63, {5, 0}},   // self-wake: next cycle
+      {13, 138, 139, {6, 2}}, // relay wraps 139 -> 0: next cycle
+      {15, 5, 130, {7, 0}},   // skips a whole word: same cycle
+      {17, 63, 100, {8, 0}},  // same cycle
+      {17, 100, 63, {9, 0}},  // next cycle
+      {19, 135, 10, {10, 0}}, // wakes a slot asleep since cycle 0
+      {21, 64, 64, {11, 0}},  // self-wake on a word's first bit
+      {21, 127, 127, {12, 0}},// self-wake on a word's last bit
+  };
+  return script;
+}
+
+constexpr Cycle kMailEnd = 30;
+
+TEST(EngineActiveSet, MidScanWakesAcrossWordsMatchSerial) {
+  PostOffice serial(EngineMode::kSerial, boundary_script());
+  PostOffice event(EngineMode::kEventDriven, boundary_script());
+  serial.run_to(kMailEnd);
+  event.run_to(kMailEnd);
+  EXPECT_EQ(event.log, serial.log);
+
+  // The boundary cases themselves, as the serial loop delivers them.
+  const MailLog want = {
+      {61, 3, 1, 5},  {62, 3, 1, 4},  {63, 3, 1, 3},   {64, 3, 1, 2},
+      {65, 3, 1, 1},  {66, 3, 1, 0},  {63, 6, 2, 0},   {126, 7, 3, 4},
+      {127, 7, 3, 3}, {128, 7, 3, 2}, {129, 7, 3, 1},  {130, 7, 3, 0},
+      {127, 10, 4, 0}, {63, 12, 5, 0}, {139, 13, 6, 2}, {0, 14, 6, 1},
+      {1, 14, 6, 0},  {130, 15, 7, 0}, {100, 17, 8, 0}, {63, 18, 9, 0},
+      {10, 20, 10, 0}, {64, 22, 11, 0}, {127, 22, 12, 0}};
+  EXPECT_EQ(serial.log, want);
+
+  // The event kernel stepped only the cycles with work, and ticked few
+  // slots in each.
+  EXPECT_LT(event.engine.perf().ticks_executed,
+            serial.engine.perf().ticks_executed / 10);
+}
+
+TEST(EngineActiveSet, SaveLoadMidRunContinuesIdentically) {
+  PostOffice serial(EngineMode::kSerial, boundary_script());
+  serial.run_to(kMailEnd);
+
+  // Pause at cycle 10: mail posted at cycle 9 to a passed slot (127) is
+  // waiting in its inbox with its wake in the heap.
+  PostOffice original(EngineMode::kEventDriven, boundary_script());
+  original.run_to(10);
+  ASSERT_EQ(original.boxes[127].inbox().size(), 1u);
+  ckpt::ArchiveWriter w;
+  w.begin_section(ckpt::tags::kEngine);
+  original.engine.save(w);
+  w.end_section();
+
+  PostOffice restored(EngineMode::kEventDriven, boundary_script());
+  ckpt::ArchiveReader r(w.buffer());
+  ASSERT_TRUE(r.next_section());
+  restored.engine.load(r);
+  for (int i = 0; i < kMailboxes; ++i) {
+    restored.boxes[i].inbox() = original.boxes[i].inbox();
+  }
+  const std::size_t before = original.log.size();
+  original.run_to(kMailEnd);
+  restored.run_to(kMailEnd);
+
+  const MailLog tail(original.log.begin() + static_cast<long>(before),
+                     original.log.end());
+  EXPECT_EQ(restored.log, tail);
+  EXPECT_EQ(original.log, serial.log);
+  EXPECT_EQ(restored.engine.now(), original.engine.now());
+  EXPECT_EQ(restored.engine.perf().ticks_executed,
+            original.engine.perf().ticks_executed);
 }
 
 // The headline acceptance property: for every workload in the registry

@@ -2,12 +2,16 @@
 // backpressure, and Figure 9 traffic accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
+#include "ckpt/archive.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/config.hpp"
+#include "fault/fault.hpp"
 #include "noc/mesh.hpp"
 
 namespace glocks::noc {
@@ -260,6 +264,165 @@ TEST(ExpressProperty, LockstepMatchesHopByHopExactly) {
   EXPECT_GT(total.hits, 0u);
   EXPECT_GT(total.declined, 0u);
   EXPECT_GT(total.materialized, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Router and NIC worklists past one 64-bit word. The mesh visits only
+// occupied routers and backlogged NICs in both engine modes, so the
+// serial-vs-event oracle cannot see it; these digests were recorded with
+// the tick-every-router mesh and pin the delivery stream of meshes whose
+// tiles span two (9x9) and four (16x16) worklist words.
+
+/// One send of a pre-generated traffic schedule.
+struct ScheduledSend {
+  Cycle at;
+  CoreId src;
+  CoreId dst;
+  MsgClass cls;
+};
+
+/// Seeded random traffic: sparse phases (express flights engage)
+/// alternate with bursts that load many routers at once.
+std::vector<ScheduledSend> random_traffic(std::uint32_t tiles,
+                                          std::uint64_t seed,
+                                          Cycle cycles) {
+  std::vector<ScheduledSend> out;
+  Rng rng(seed);
+  for (Cycle c = 0; c < cycles; ++c) {
+    const bool burst = (c / 200) % 2 == 1;
+    if (rng.uniform() >= (burst ? 0.6 : 0.05)) continue;
+    const int n = burst ? 1 + static_cast<int>(rng.below(8)) : 1;
+    for (int i = 0; i < n; ++i) {
+      const auto src = static_cast<CoreId>(rng.below(tiles));
+      auto dst = static_cast<CoreId>(rng.below(tiles));
+      if (dst == src) dst = (dst + 1) % tiles;
+      out.push_back({c, src, dst, static_cast<MsgClass>(rng.below(3))});
+    }
+  }
+  return out;
+}
+
+/// A manually-ticked mesh that folds every delivery's (seq, cycle) into
+/// an FNV-1a digest, in delivery order.
+struct DigestMesh {
+  DigestMesh(std::uint32_t width, const char* faults)
+      : mesh(width * width, width, NocConfig{}) {
+    if (faults != nullptr) {
+      mesh.enable_fault_domain(fault::parse_fault_spec(faults));
+    }
+    for (CoreId t = 0; t < width * width; ++t) {
+      mesh.set_sink(t, [this](Packet&& p) {
+        fold(p.seq);
+        fold(now);
+        ++delivered;
+      });
+    }
+  }
+  void fold(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest = (digest ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  /// Plays the schedule from `next` up to cycle `end` (exclusive).
+  void run_to(const std::vector<ScheduledSend>& sched, std::size_t& next,
+              Cycle end) {
+    for (; now < end; ++now) {
+      for (; next < sched.size() && sched[next].at == now; ++next) {
+        const ScheduledSend& s = sched[next];
+        mesh.send(s.src, s.dst, s.cls,
+                  s.cls == MsgClass::kReply ? 72 : 8, now);
+      }
+      mesh.tick(now);
+    }
+  }
+
+  Mesh mesh;
+  Cycle now = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::uint64_t delivered = 0;
+};
+
+struct WorklistCase {
+  std::uint32_t width;
+  const char* faults;  ///< --faults spec, or null for a clean mesh
+  std::uint64_t digest;
+};
+
+constexpr Cycle kTrafficCycles = 2000;
+constexpr Cycle kDrainedBy = 12000;
+
+// Mesh faults: lossy and garbling links plus one link death mid-run, so
+// retransmissions and detours both run; the mesh stays connected.
+constexpr WorklistCase kWorklistCases[] = {
+    {9, nullptr, 2051577866824729571ull},
+    {9, "mesh:drop=2e-3,mesh:garble=1e-3,mesh:kill=40.e@700",
+     13064880978443027424ull},
+    {16, nullptr, 15380987694141764836ull},
+    {16, "mesh:drop=2e-3,mesh:garble=1e-3,mesh:kill=119.e@700",
+     2192237269479168835ull},
+};
+
+TEST(MeshWorklist, RandomTrafficBeyondOneWordMatchesRecordedDigest) {
+  for (const WorklistCase& wc : kWorklistCases) {
+    SCOPED_TRACE(::testing::Message()
+                 << wc.width << "x" << wc.width << " "
+                 << (wc.faults == nullptr ? "clean" : wc.faults));
+    const auto sched =
+        random_traffic(wc.width * wc.width, wc.width, kTrafficCycles);
+    DigestMesh m(wc.width, wc.faults);
+    std::size_t next = 0;
+    m.run_to(sched, next, kDrainedBy);
+    ASSERT_TRUE(m.mesh.idle());
+    EXPECT_EQ(m.delivered, sched.size());
+    EXPECT_EQ(m.digest, wc.digest);
+    if (wc.faults != nullptr) {
+      // The faulted stream must cross the recovery paths it claims to.
+      const fault::FaultStats fs = m.mesh.finalize_fault_stats();
+      EXPECT_GT(fs.retransmissions, 0u);
+      EXPECT_EQ(fs.link_failures, 1u);
+      EXPECT_GT(fs.reroutes, 0u);
+    } else {
+      EXPECT_GT(m.mesh.express_perf().hits, 0u);
+      EXPECT_GT(m.mesh.express_perf().materialized, 0u);
+    }
+  }
+}
+
+TEST(MeshWorklist, SaveLoadMidFlightContinuesIdentically) {
+  const PayloadCodec codec{[](ckpt::ArchiveWriter&, const Packet&) {},
+                           [](ckpt::ArchiveReader&, Packet&) {},
+                           [](Packet&) {}};
+  for (const WorklistCase& wc : kWorklistCases) {
+    SCOPED_TRACE(::testing::Message()
+                 << wc.width << "x" << wc.width << " "
+                 << (wc.faults == nullptr ? "clean" : wc.faults));
+    const auto sched =
+        random_traffic(wc.width * wc.width, wc.width, kTrafficCycles);
+    DigestMesh original(wc.width, wc.faults);
+    std::size_t next = 0;
+    // Mid-burst: many routers occupied and NIC outboxes backlogged.
+    original.run_to(sched, next, 1350);
+    ASSERT_FALSE(original.mesh.idle());
+    ckpt::ArchiveWriter w;
+    w.begin_section(ckpt::tags::kMesh);
+    original.mesh.save(w, codec);
+    w.end_section();
+
+    DigestMesh restored(wc.width, wc.faults);
+    ckpt::ArchiveReader r(w.buffer());
+    ASSERT_TRUE(r.next_section());
+    restored.mesh.load(r, codec);
+    restored.now = original.now;
+    restored.digest = original.digest;
+    restored.delivered = original.delivered;
+    std::size_t restored_next = next;
+    original.run_to(sched, next, kDrainedBy);
+    restored.run_to(sched, restored_next, kDrainedBy);
+    ASSERT_TRUE(restored.mesh.idle());
+    EXPECT_EQ(restored.delivered, original.delivered);
+    EXPECT_EQ(restored.digest, original.digest);
+    EXPECT_EQ(restored.digest, wc.digest);
+  }
 }
 
 TEST(MsgClass, Names) {
