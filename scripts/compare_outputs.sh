@@ -10,7 +10,8 @@
 #   - `glocksim --json` at 256 cores (scale 0.1, G-line latency 2) for
 #     SCTR under MCS, GLock and TATAS and RAYTR under MCS and GLock —
 #     machines whose engine slots and mesh tiles span several 64-bit
-#     worklist words;
+#     worklist words, plus SCTR under MCS and GLock with mesh drops and a
+#     link death armed (routers skip cycles with no head due there too);
 #   - a clean and a G-line+mesh-faulted `glocks-sweep` CSV, each at
 #     --jobs 1 and --jobs 4 (the new build's --jobs 1 and --jobs 4 CSVs
 #     must also match each other).
@@ -93,6 +94,11 @@ for case in SCTR:mcs SCTR:glock SCTR:tatas RAYTR:mcs RAYTR:glock; do
   run_both "glocksim-$w-$lock-256.json" src/tools/glocksim \
       --workload "$w" --lock "$lock" --cores 256 --gline-latency 2 \
       --scale 0.1 --json
+done
+for lock in mcs glock; do
+  run_both "glocksim-SCTR-$lock-256-meshfault.json" src/tools/glocksim \
+      --workload SCTR --lock "$lock" --cores 256 --gline-latency 2 \
+      --scale 0.1 --faults mesh:drop=1e-4,mesh:kill=1.e@2000 --json
 done
 
 GRID=(--all --locks mcs,glock --cores 16,32 --seeds 1,2 --scale 0.5)

@@ -67,6 +67,7 @@ RunResult run_workload(Workload& workload, const RunConfig& cfg,
     r.perf.msg.express_declined = xp.declined;
     r.perf.msg.express_materialized = xp.materialized;
     r.perf.msg.router_visits = sys.mesh().router_visits();
+    r.perf.msg.router_busy_visits = sys.mesh().router_busy_visits();
     for (CoreId c = 0; c < sys.num_cores(); ++c) {
       const auto& sp = sys.hierarchy().l1(c).spin_stats();
       r.perf.spin.parks += sp.parks;

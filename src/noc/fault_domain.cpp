@@ -61,6 +61,7 @@ MeshFaultDomain::MeshFaultDomain(const MeshFaultConfig& cfg,
       links_(static_cast<std::size_t>(num_tiles) * 4),
       guards_(static_cast<std::size_t>(num_tiles) * 4 * kNumMsgClasses),
       kills_(cfg.kills) {
+  busy_.resize(guards_.size());
   // Register two injector wires per directed link, tile-major in the Dir
   // enum order — a fixed order, so wire ids (and with them every fate)
   // are a pure function of the machine geometry.
@@ -223,6 +224,7 @@ void MeshFaultDomain::start_transfer(std::uint32_t tile, Dir out, Dir in,
   GLOCKS_CHECK(!g.busy, "guarded transfer started on a busy link guard");
   g.busy = true;
   g.in_port = in;
+  busy_.set(guard_index(tile, out, cls));
   attempt(tile, out, cls, g, now);
 }
 
@@ -231,50 +233,48 @@ void MeshFaultDomain::advance(Cycle now) {
     const LinkKill& k = kills_[next_kill_++];
     kill_link(k.tile, static_cast<Dir>(k.dir), now);
   }
-  for (std::uint32_t t = 0; t < num_tiles_; ++t) {
-    for (std::uint32_t d = 1; d <= 4; ++d) {
-      const Dir dir = static_cast<Dir>(d);
-      const Link& l = link(t, dir);
-      if (!l.exists || l.dead) continue;
-      for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
-        const auto cls = static_cast<MsgClass>(c);
-        Guard& g = guard(t, dir, cls);
-        if (!g.busy) continue;
-        if (g.ack_at != kNoCycle && g.ack_at <= now) {
-          // Acknowledged: the transfer is complete. Events still pending
-          // here were superseded along the way (a drop whose later
-          // duplicate carried the day): absorbed, not detected.
-          for (std::int32_t ev : g.pending) injector_.on_tolerated(ev);
-          g = Guard{};
-          continue;
-        }
-        if (g.retry_at > now) continue;
-        // Watchdog fired. An undelivered frame needs downstream room to
-        // retransmit into; without it, hold the timer and re-check next
-        // cycle (the mesh never sleeps while the domain is enabled).
-        if (!g.delivered &&
-            !routers_[l.nbr]->can_accept(opposite(dir), cls)) {
-          continue;
-        }
-        ++counter(&fault::FaultStats::watchdog_timeouts);
-        if (g.pending.empty() && !g.had_fault) {
-          ++counter(&fault::FaultStats::spurious_retransmissions);
-        }
-        if (!g.pending.empty()) {
-          injector_.on_detected(g.pending, now);
-          g.pending.clear();
-        }
-        g.had_fault = false;
-        ++g.retries;
-        if (g.retries > cfg_.max_retries) {
-          kill_link(t, dir, now);
-          break;  // every guard on this link was just cleared
-        }
-        ++counter(&fault::FaultStats::retransmissions);
-        attempt(t, dir, cls, g, now);
-      }
+  // Busy guards in index order, which is (tile, dir, class) order. A
+  // guard on a dead link is never busy: kill_link clears them, and the
+  // scan re-reads the current word, so guards it clears are skipped.
+  busy_.for_each([this, now](std::size_t gi) {
+    const auto t = static_cast<std::uint32_t>(gi / (4 * kNumMsgClasses));
+    const Dir dir = static_cast<Dir>(gi / kNumMsgClasses % 4 + 1);
+    const auto cls = static_cast<MsgClass>(gi % kNumMsgClasses);
+    Guard& g = guards_[gi];
+    if (g.ack_at != kNoCycle && g.ack_at <= now) {
+      // Acknowledged: the transfer is complete. Events still pending
+      // here were superseded along the way (a drop whose later
+      // duplicate carried the day): absorbed, not detected.
+      for (std::int32_t ev : g.pending) injector_.on_tolerated(ev);
+      g = Guard{};
+      busy_.reset(gi);
+      return;
     }
-  }
+    if (g.retry_at > now) return;
+    // Watchdog fired. An undelivered frame needs downstream room to
+    // retransmit into; without it, hold the timer and re-check next
+    // cycle (the mesh never sleeps while the domain is enabled).
+    if (!g.delivered &&
+        !routers_[link(t, dir).nbr]->can_accept(opposite(dir), cls)) {
+      return;
+    }
+    ++counter(&fault::FaultStats::watchdog_timeouts);
+    if (g.pending.empty() && !g.had_fault) {
+      ++counter(&fault::FaultStats::spurious_retransmissions);
+    }
+    if (!g.pending.empty()) {
+      injector_.on_detected(g.pending, now);
+      g.pending.clear();
+    }
+    g.had_fault = false;
+    ++g.retries;
+    if (g.retries > cfg_.max_retries) {
+      kill_link(t, dir, now);  // clears every guard on this link
+      return;
+    }
+    ++counter(&fault::FaultStats::retransmissions);
+    attempt(t, dir, cls, g, now);
+  });
 }
 
 void MeshFaultDomain::kill_link(std::uint32_t tile, Dir d, Cycle now) {
@@ -294,6 +294,7 @@ void MeshFaultDomain::kill_link(std::uint32_t tile, Dir d, Cycle now) {
     // unlocks it and the next arbitration re-routes it via the detour
     // table. A delivered-but-unacked frame already lives downstream.
     g = Guard{};
+    busy_.reset(guard_index(tile, d, static_cast<MsgClass>(c)));
   }
   recompute_detours();
 }
@@ -493,8 +494,10 @@ void MeshFaultDomain::load(ckpt::ArchiveReader& a) {
   deaths_ = a.u64();
   for (Link& l : links_) l.dead = a.b();
   next_kill_ = a.u64();
-  for (Guard& g : guards_) {
+  for (std::size_t gi = 0; gi < guards_.size(); ++gi) {
+    Guard& g = guards_[gi];
     g.busy = a.b();
+    busy_.assign(gi, g.busy);
     g.delivered = a.b();
     g.had_fault = a.b();
     g.in_port = static_cast<Dir>(a.u8());

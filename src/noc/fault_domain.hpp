@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/word_bitset.hpp"
 #include "fault/fault.hpp"
 #include "noc/message.hpp"
 #include "noc/router.hpp"
@@ -45,8 +46,8 @@ class MeshFaultDomain final : public LinkFaultModel {
                       Cycle now) override;
 
   /// One cycle of domain work, run by Mesh::tick before the router scan:
-  /// applies scripted link kills due this cycle, then walks every guard
-  /// in fixed (tile, dir, class) order — completing acknowledged
+  /// applies scripted link kills due this cycle, then walks the busy
+  /// guards in fixed (tile, dir, class) order — completing acknowledged
   /// transfers, firing retransmission watchdogs, and declaring links
   /// dead when a guard exhausts its retry budget.
   void advance(Cycle now);
@@ -100,13 +101,15 @@ class MeshFaultDomain final : public LinkFaultModel {
   const Link& link(std::uint32_t tile, Dir d) const {
     return links_[tile * 4 + dir_slot(d)];
   }
+  static std::size_t guard_index(std::uint32_t tile, Dir d, MsgClass cls) {
+    return (tile * 4 + dir_slot(d)) * kNumMsgClasses +
+           static_cast<std::size_t>(cls);
+  }
   Guard& guard(std::uint32_t tile, Dir d, MsgClass cls) {
-    return guards_[(tile * 4 + dir_slot(d)) * kNumMsgClasses +
-                   static_cast<std::size_t>(cls)];
+    return guards_[guard_index(tile, d, cls)];
   }
   const Guard& guard(std::uint32_t tile, Dir d, MsgClass cls) const {
-    return guards_[(tile * 4 + dir_slot(d)) * kNumMsgClasses +
-                   static_cast<std::size_t>(cls)];
+    return guards_[guard_index(tile, d, cls)];
   }
 
   /// XY dimension-order decision (same as Router::route), by tile ids.
@@ -138,6 +141,9 @@ class MeshFaultDomain final : public LinkFaultModel {
   fault::FaultInjector injector_;
   std::vector<Link> links_;    ///< [tile*4 + dir-1]
   std::vector<Guard> guards_;  ///< [(tile*4 + dir-1)*3 + class]
+  /// Indices of the busy guards: start_transfer sets a bit, an ack or a
+  /// link death clears it. Derived from Guard::busy; load() rebuilds it.
+  common::WordBitset busy_;
   std::vector<LinkKill> kills_;  ///< scripted, sorted by (at, tile, dir)
   std::size_t next_kill_ = 0;
   std::uint64_t deaths_ = 0;

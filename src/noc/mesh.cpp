@@ -447,21 +447,37 @@ void Mesh::tick(Cycle now) {
   // loop hands packets to sinks (after the NIC drain, so a send made
   // from inside a sink is injected next cycle on either path).
   deliver_due_express(now);
-  // Only occupied routers are ticked: an idle router tick has no
-  // architectural effect. A router that a tick fills above the cursor is
-  // still visited this cycle, as in a loop over every tile.
+  // Only occupied routers whose ready bound has come are ticked: any
+  // other router tick has no architectural effect. A router that a tick
+  // fills above the cursor is still visited this cycle if its new head is
+  // due, as in a loop over every tile.
   occupied_.for_each([this, now](std::size_t t) {
     Router& r = *routers_[t];
-    r.tick(now);
-    ++router_visits_;
+    if (r.next_ready() <= now) {
+      ++router_visits_;
+      if (r.tick(now)) ++router_busy_visits_;
+    }
     if (r.idle()) occupied_.reset(t);
   });
-  // A non-empty fabric may move a packet any cycle (and backpressure
-  // resolution has no wake signal), so only an empty one may sleep.
-  // Express flights don't count: each carries its own armed wake. With
-  // the fault domain armed the mesh never sleeps: scripted kills and
-  // retransmission timers must fire on their exact cycles.
-  if (fault_ == nullptr && fabric_empty()) sleep();
+  // The mesh sleeps through cycles on which it would do nothing. With the
+  // fault domain armed it never does: scripted kills and retransmission
+  // timers must fire on their exact cycles. A NIC backlog drains as soon
+  // as its local queue has room, which has no wake signal.
+  if (fault_ != nullptr || !backlogged_.none()) return;
+  // An empty fabric sleeps until the next send; express flights each
+  // carry their own armed wake, and exist only while the fabric is empty.
+  if (fabric_empty()) {
+    sleep();
+    return;
+  }
+  // Otherwise sleep until the earliest ready bound. This second pass sees
+  // the bounds that routers later in the scan lowered by forwarding into
+  // earlier ones; any new send wakes the mesh before then.
+  Cycle next = kNoCycle;
+  occupied_.for_each([this, &next](std::size_t t) {
+    next = std::min(next, routers_[t]->next_ready());
+  });
+  if (next > now + 1) sleep_until(next);
 }
 
 void Mesh::save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const {

@@ -37,10 +37,14 @@ struct ExpressPerf {
 };
 
 /// The whole on-chip data network. One sim::Component: ticking the mesh
-/// drains the NICs with a backlog, then ticks the routers that hold
-/// packets, each in tile order. Idle NICs and routers are never visited
-/// — an idle router tick has no architectural effect — so a mesh tick
-/// costs the traffic in flight, not the number of tiles.
+/// drains the NICs with a backlog, then ticks the routers that hold a
+/// packet whose ready cycle has come (Router::next_ready), each in tile
+/// order. No other router is visited — a router tick with no ready head
+/// has no architectural effect — so a mesh tick costs the packets due,
+/// not the number of tiles or of packets resident. With the fault domain
+/// off and no NIC backlog, the mesh then sleeps until the earliest ready
+/// bound (until the next send when the fabric is empty), so a packet on
+/// a link costs no mesh ticks at all.
 ///
 /// Endpoints send with `send()` (unbounded NIC outbox, so callers never
 /// handle backpressure) and receive through the per-tile sink registered
@@ -95,9 +99,11 @@ class Mesh final : public sim::Component {
   const TrafficStats& stats() const { return stats_; }
   TrafficStats& stats() { return stats_; }
   const ExpressPerf& express_perf() const { return xperf_; }
-  /// Router ticks actually performed (self-measurement for `--perf`:
-  /// not serialized, never read by the simulation).
+  /// Router ticks actually performed, and those of them that found a
+  /// ready head (self-measurement for `--perf`: not serialized, never
+  /// read by the simulation).
   std::uint64_t router_visits() const { return router_visits_; }
+  std::uint64_t router_busy_visits() const { return router_busy_visits_; }
 
   /// True when no packet is anywhere in the network (for drain tests).
   bool idle() const { return in_flight_ == 0; }
@@ -194,6 +200,7 @@ class Mesh final : public sim::Component {
   /// tick() clears it once every outbox is empty.
   common::WordBitset backlogged_;
   std::uint64_t router_visits_ = 0;
+  std::uint64_t router_busy_visits_ = 0;
   /// The same in-flight-tracking sinks the routers hold; express
   /// delivery ejects through these without touching a router.
   std::vector<Router::Sink> sinks_;
@@ -204,7 +211,7 @@ class Mesh final : public sim::Component {
   Cycle last_tick_ = kNoCycle;
   /// Packets anywhere in the network (NIC outboxes + router queues +
   /// express flights); while the physical part is zero the mesh sleeps
-  /// and skipped cycles fold into catch_up().
+  /// until the next send.
   std::uint64_t in_flight_ = 0;
   // Scratch buffers for materialize/deliver (reused; no steady-state
   // allocation).

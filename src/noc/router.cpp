@@ -1,5 +1,8 @@
 #include "noc/router.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "ckpt/archive.hpp"
 #include "common/check.hpp"
 
@@ -17,57 +20,49 @@ Router::Router(std::uint32_t x, std::uint32_t y, std::uint32_t mesh_w,
       occupied_mask_(occupied_mask) {}
 
 bool Router::inject(Packet&& p, Cycle now) {
-  auto& q = in_[idx(Dir::kLocal)][static_cast<std::size_t>(p.cls)];
-  if (q.size() >= timing_.input_queue_depth) return false;
+  const std::size_t s = slot(Dir::kLocal, p.cls);
+  if (in_[s].size() >= timing_.input_queue_depth) return false;
   stats_.record_injection(p.cls);
-  q.push_back(Timed{now + 1, std::move(p)});
-  occupy();
+  push(s, Timed{now + 1, std::move(p)});
   return true;
 }
 
 bool Router::can_accept(Dir in, MsgClass cls) const {
-  return in_[idx(in)][static_cast<std::size_t>(cls)].size() <
-         timing_.input_queue_depth;
+  return in_[slot(in, cls)].size() < timing_.input_queue_depth;
 }
 
 void Router::accept(Dir in, Packet&& p, Cycle ready) {
-  auto& q = in_[idx(in)][static_cast<std::size_t>(p.cls)];
-  GLOCKS_CHECK(q.size() < timing_.input_queue_depth,
+  const std::size_t s = slot(in, p.cls);
+  GLOCKS_CHECK(in_[s].size() < timing_.input_queue_depth,
                "router (" << x_ << "," << y_ << ") port " << idx(in)
                           << " overflow");
-  q.push_back(Timed{ready, std::move(p)});
-  occupy();
+  push(s, Timed{ready, std::move(p)});
 }
 
 void Router::place(Dir in, MsgClass cls, Packet&& p, Cycle ready) {
-  auto& q = in_[idx(in)][static_cast<std::size_t>(cls)];
-  GLOCKS_CHECK(q.size() < timing_.input_queue_depth,
+  const std::size_t s = slot(in, cls);
+  GLOCKS_CHECK(in_[s].size() < timing_.input_queue_depth,
                "router (" << x_ << "," << y_ << ") port " << idx(in)
                           << " overflow on express materialization");
-  q.push_back(Timed{ready, std::move(p)});
-  occupy();
+  push(s, Timed{ready, std::move(p)});
 }
 
 void Router::place_local(Packet&& p, Cycle ready) {
-  local_out_.push_back(Timed{ready, std::move(p)});
-  occupy();
+  push(kSlots, Timed{ready, std::move(p)});
 }
 
 const Packet& Router::peek_head(Dir in, MsgClass cls) const {
-  const auto& q = in_[idx(in)][static_cast<std::size_t>(cls)];
+  const auto& q = in_[slot(in, cls)];
   GLOCKS_CHECK(!q.empty(), "router (" << x_ << "," << y_
                                       << ") peek on empty queue");
   return q.front().pkt;
 }
 
 Packet Router::take_head(Dir in, MsgClass cls) {
-  auto& q = in_[idx(in)][static_cast<std::size_t>(cls)];
-  GLOCKS_CHECK(!q.empty(), "router (" << x_ << "," << y_
-                                      << ") take on empty queue");
-  Packet p = std::move(q.front().pkt);
-  q.pop_front();
-  --occupancy_;
-  return p;
+  const std::size_t s = slot(in, cls);
+  GLOCKS_CHECK(!in_[s].empty(), "router (" << x_ << "," << y_
+                                           << ") take on empty queue");
+  return pop(s);
 }
 
 Dir Router::route(std::uint32_t dst_x, std::uint32_t dst_y) const {
@@ -83,8 +78,7 @@ void Router::forward(Dir out, Packet&& p, Cycle now) {
   // Every switch traversal counts towards the Figure 9 byte totals.
   stats_.record_hop(p.cls, p.size_bytes);
   if (out == Dir::kLocal) {
-    local_out_.push_back(Timed{now + timing_.router_latency, std::move(p)});
-    occupy();
+    push(kSlots, Timed{now + timing_.router_latency, std::move(p)});
     return;
   }
   Router* n = neighbors_[idx(out)];
@@ -94,12 +88,49 @@ void Router::forward(Dir out, Packet&& p, Cycle now) {
             now + timing_.router_latency + timing_.link_latency);
 }
 
-void Router::tick(Cycle now) {
-  // Empty-router fast path: a tick with nothing resident has no
-  // architectural effect at all — the round-robin pointer only rotates
-  // on cycles where arbitration saw a ready head, so idle cycles can be
-  // skipped without changing a single byte.
-  if (occupancy_ == 0) return;
+void Router::arbitrate(std::size_t s, Cycle now, bool (&out_used)[kNumDirs],
+                       bool& busy) {
+  auto& q = in_[s];
+  if (q.front().ready > now) return;
+  busy = true;  // a ready head was arbitrated, even if it ends up held
+  const Packet& head = q.front().pkt;
+  const auto in_dir = static_cast<Dir>(s / kNumMsgClasses);
+  const auto cls = static_cast<MsgClass>(s % kNumMsgClasses);
+  Dir out;
+  if (fault_ != nullptr) {
+    // A head with an in-flight, unacknowledged frame stays queued until
+    // its link guard resolves (ack, retransmit, or link death).
+    if (fault_->head_locked(tile(), in_dir, cls)) return;
+    const std::uint32_t nh = fault_->next_hop(tile(), head.dst);
+    if (nh >= kNumDirs) return;  // destination currently unreachable
+    out = static_cast<Dir>(nh);
+  } else {
+    out = route(head.dst % mesh_w_, head.dst / mesh_w_);
+  }
+  if (out_used[idx(out)]) return;
+  if (out != Dir::kLocal) {
+    if (!neighbors_[idx(out)]->can_accept(opposite(out), cls)) {
+      return;  // backpressure: downstream FIFO (same class) full
+    }
+    if (fault_ != nullptr) {
+      // Guarded transfer: at most one unacknowledged frame per
+      // (link, class); the guard judges the fate and either moves the
+      // packet downstream or leaves it queued for retransmission.
+      if (fault_->link_busy(tile(), out, cls)) return;
+      out_used[idx(out)] = true;
+      fault_->start_transfer(tile(), out, in_dir, cls, now);
+      return;
+    }
+  }
+  out_used[idx(out)] = true;
+  forward(out, pop(s), now);
+}
+
+bool Router::tick(Cycle now) {
+  // No head is ready before the bound, and the round-robin pointer only
+  // rotates on cycles where arbitration saw a ready head, so such a tick
+  // has no architectural effect at all and is skipped byte-exactly.
+  if (now < next_ready_) return false;
   bool busy = false;
 
   // Deliver matured local packets (at most one per cycle: the local
@@ -115,55 +146,28 @@ void Router::tick(Cycle now) {
 
   // Arbitration: each output port accepts at most one packet this cycle;
   // each (input port, virtual channel) releases at most its head. The
-  // scan starts at a rotating offset over the port x class grid, so no
-  // port or class can starve another.
+  // scan visits slots rr_..kSlots-1 and then 0..rr_-1, skipping empty
+  // queues, so no port or class can starve another. A router never
+  // pushes into its own input queues and pops only the head it is
+  // visiting, so the mask read here stays exact for the whole scan.
   bool out_used[kNumDirs] = {};
-  for (std::size_t scan = 0; scan < kSlots; ++scan) {
-    const std::size_t slot = (rr_ + scan) % kSlots;
-    const std::size_t i = slot / kNumMsgClasses;
-    const std::size_t vc = slot % kNumMsgClasses;
-    auto& q = in_[i][vc];
-    if (q.empty() || q.front().ready > now) continue;
-    busy = true;  // a ready head was arbitrated, even if it ends up held
-    Packet& head = q.front().pkt;
-    Dir out;
-    if (fault_ != nullptr) {
-      const auto in_dir = static_cast<Dir>(i);
-      const auto cls = static_cast<MsgClass>(vc);
-      // A head with an in-flight, unacknowledged frame stays queued until
-      // its link guard resolves (ack, retransmit, or link death).
-      if (fault_->head_locked(tile(), in_dir, cls)) continue;
-      const std::uint32_t nh = fault_->next_hop(tile(), head.dst);
-      if (nh >= kNumDirs) continue;  // destination currently unreachable
-      out = static_cast<Dir>(nh);
-    } else {
-      out = route(head.dst % mesh_w_, head.dst / mesh_w_);
-    }
-    if (out_used[idx(out)]) continue;
-    if (out != Dir::kLocal) {
-      if (!neighbors_[idx(out)]->can_accept(opposite(out), head.cls)) {
-        continue;  // backpressure: downstream FIFO (same class) full
-      }
-      if (fault_ != nullptr) {
-        // Guarded transfer: at most one unacknowledged frame per
-        // (link, class); the guard judges the fate and either moves the
-        // packet downstream or leaves it queued for retransmission.
-        if (fault_->link_busy(tile(), out, static_cast<MsgClass>(vc))) {
-          continue;
-        }
-        out_used[idx(out)] = true;
-        fault_->start_transfer(tile(), out, static_cast<Dir>(i),
-                               static_cast<MsgClass>(vc), now);
-        continue;
-      }
-    }
-    out_used[idx(out)] = true;
-    Packet p = std::move(head);
-    q.pop_front();
-    --occupancy_;
-    forward(out, std::move(p), now);
+  const std::uint32_t nonempty = nonempty_;
+  for (std::uint32_t m = nonempty & (~0u << rr_); m != 0; m &= m - 1) {
+    arbitrate(static_cast<std::size_t>(std::countr_zero(m)), now, out_used,
+              busy);
+  }
+  for (std::uint32_t m = nonempty & ((1u << rr_) - 1); m != 0; m &= m - 1) {
+    arbitrate(static_cast<std::size_t>(std::countr_zero(m)), now, out_used,
+              busy);
   }
   if (busy) rr_ = (rr_ + 1) % kSlots;
+
+  Cycle next = local_out_.empty() ? kNoCycle : local_out_.front().ready;
+  for (std::uint32_t m = nonempty_; m != 0; m &= m - 1) {
+    next = std::min(next, in_[std::countr_zero(m)].front().ready);
+  }
+  next_ready_ = next;
+  return busy;
 }
 
 void save_packet(ckpt::ArchiveWriter& a, const Packet& p,
@@ -190,13 +194,11 @@ Packet load_packet(ckpt::ArchiveReader& a, const PayloadCodec& codec) {
 }
 
 void Router::save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const {
-  for (const auto& port : in_) {
-    for (const auto& q : port) {
-      a.u64(q.size());
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        a.u64(q[i].ready);
-        save_packet(a, q[i].pkt, codec);
-      }
+  for (const auto& q : in_) {
+    a.u64(q.size());
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      a.u64(q[i].ready);
+      save_packet(a, q[i].pkt, codec);
     }
   }
   a.u64(local_out_.size());
@@ -209,18 +211,19 @@ void Router::save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const {
 }
 
 void Router::load(ckpt::ArchiveReader& a, const PayloadCodec& codec) {
-  for (auto& port : in_) {
-    for (auto& q : port) {
-      for (std::size_t i = 0; i < q.size(); ++i) codec.drop(q[i].pkt);
-      q.clear();
-      const std::uint64_t n = a.u64();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        Timed t;
-        t.ready = a.u64();
-        t.pkt = load_packet(a, codec);
-        q.push_back(std::move(t));
-      }
+  nonempty_ = 0;
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    auto& q = in_[s];
+    for (std::size_t i = 0; i < q.size(); ++i) codec.drop(q[i].pkt);
+    q.clear();
+    const std::uint64_t n = a.u64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Timed t;
+      t.ready = a.u64();
+      t.pkt = load_packet(a, codec);
+      q.push_back(std::move(t));
     }
+    if (n != 0) nonempty_ |= 1u << s;
   }
   for (std::size_t i = 0; i < local_out_.size(); ++i) {
     codec.drop(local_out_[i].pkt);
@@ -235,6 +238,7 @@ void Router::load(ckpt::ArchiveReader& a, const PayloadCodec& codec) {
   }
   rr_ = a.u32();
   occupancy_ = a.u32();
+  next_ready_ = 0;  // derived: the first tick after a restore recomputes it
 }
 
 }  // namespace glocks::noc

@@ -10,6 +10,14 @@
 // becomes visible at the next router after router_latency + link_latency
 // cycles; a packet routed to the local port is handed to the tile's sink
 // after router_latency cycles.
+//
+// Ready time: every queued packet carries the cycle it becomes routable,
+// and the router keeps a lower bound on the earliest such cycle over its
+// queue heads (next_ready()). A cycle before that bound has no ready head,
+// so the router would do nothing at all on it: the mesh does not visit
+// the router then, and sleeps through cycles on which no router is due.
+// Arbitration walks a mask of the non-empty input queues instead of all
+// 15 (port, class) slots.
 #pragma once
 
 #include <array>
@@ -144,12 +152,19 @@ class Router {
   void accept(Dir in, Packet&& p, Cycle ready);
   bool can_accept(Dir in, MsgClass cls) const;
 
-  /// One cycle of arbitration + forwarding + local delivery. The
-  /// round-robin pointer advances only on cycles where the router had at
-  /// least one ready head (an input-FIFO head or pending local delivery
-  /// with ready <= now) — an idle tick has no architectural effect at
-  /// all, so skipped or folded cycles are exact.
-  void tick(Cycle now);
+  /// One cycle of arbitration + forwarding + local delivery; returns
+  /// whether the router had at least one ready head (an input-FIFO head
+  /// or pending local delivery with ready <= now). The round-robin
+  /// pointer advances only on such cycles — any other tick has no
+  /// architectural effect at all, so skipped or folded cycles are exact.
+  /// Returns at once when `now < next_ready()`.
+  bool tick(Cycle now);
+
+  /// Lower bound on the earliest ready cycle over every queue head: no
+  /// head is ready before it. Every push lowers it, a tick recomputes it
+  /// from the queue fronts, and a pop leaves it (still a lower bound).
+  /// kNoCycle when the router has been idle since its last tick.
+  Cycle next_ready() const { return next_ready_; }
 
   /// Credits one busy-tick's round-robin rotation without ticking. Used
   /// by the mesh's express path: a virtual flight's switch traversal (or
@@ -183,6 +198,8 @@ class Router {
   /// Serializes queue contents (front-to-back, with ready cycles), the
   /// round-robin pointer, and the occupancy counter. Payload pointees go
   /// through `codec`; geometry/wiring is reconstructed by the builder.
+  /// The ready bound and the non-empty mask are derived: load() rebuilds
+  /// the mask and resets the bound to 0 (due at once).
   void save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const;
   void load(ckpt::ArchiveReader& a, const PayloadCodec& codec);
 
@@ -192,32 +209,62 @@ class Router {
     Packet pkt;
   };
 
-  static constexpr std::size_t kSlots = kNumDirs * kNumMsgClasses;
+  static constexpr std::uint32_t kSlots = kNumDirs * kNumMsgClasses;
 
   static std::size_t idx(Dir d) { return static_cast<std::size_t>(d); }
-  /// Counts one more resident packet, marking the router occupied in
-  /// the mesh worklist on the 0 -> 1 edge.
-  void occupy() {
+  /// Arbitration slot of input queue (port, class): port-major, the
+  /// round-robin scan order.
+  static std::size_t slot(Dir in, MsgClass cls) {
+    return idx(in) * kNumMsgClasses + static_cast<std::size_t>(cls);
+  }
+  /// Appends to queue `s` or (s == kSlots) to local_out_, lowering the
+  /// ready bound and marking the router occupied in the mesh worklist on
+  /// the 0 -> 1 edge.
+  void push(std::size_t s, Timed&& t) {
+    if (t.ready < next_ready_) next_ready_ = t.ready;
+    if (s == kSlots) {
+      local_out_.push_back(std::move(t));
+    } else {
+      in_[s].push_back(std::move(t));
+      nonempty_ |= 1u << s;
+    }
     if (occupancy_++ == 0) *occupied_word_ |= occupied_mask_;
   }
+  /// Removes the head of input queue `s`.
+  Packet pop(std::size_t s) {
+    auto& q = in_[s];
+    Packet p = std::move(q.front().pkt);
+    q.pop_front();
+    if (q.empty()) nonempty_ &= ~(1u << s);
+    --occupancy_;
+    return p;
+  }
+  /// Arbitrates the head of input queue `s` (known non-empty) for this
+  /// cycle: forwards it unless it is not ready yet, held by the fault
+  /// domain, or its output is taken or backpressured. Sets `busy` when
+  /// the head was ready.
+  void arbitrate(std::size_t s, Cycle now, bool (&out_used)[kNumDirs],
+                 bool& busy);
   void forward(Dir out, Packet&& p, Cycle now);
 
   std::uint32_t x_, y_, mesh_w_;
   RouterTiming timing_;
   TrafficStats& stats_;
-  /// Input FIFOs: [port][virtual channel (message class)]. Ring buffers
-  /// grow to input_queue_depth once and then cycle allocation-free; the
-  /// logical depth bound is enforced here, not by the ring.
-  std::array<std::array<common::RingBuffer<Timed>, kNumMsgClasses>, kNumDirs>
-      in_;
+  /// Input FIFOs, indexed by slot(port, virtual channel = message
+  /// class). Ring buffers grow to input_queue_depth once and then cycle
+  /// allocation-free; the logical depth bound is enforced here, not by
+  /// the ring.
+  std::array<common::RingBuffer<Timed>, kSlots> in_;
   std::array<Router*, kNumDirs> neighbors_{};
   common::RingBuffer<Timed> local_out_;
   Sink sink_;
   std::uint32_t rr_ = 0;  ///< round-robin start index for input arbitration
   LinkFaultModel* fault_ = nullptr;  ///< mesh fault domain hooks (may be null)
-  /// Packets resident in this router (all input FIFOs + local_out_); lets
-  /// an idle tick skip the kSlots arbitration scan entirely.
+  /// Packets resident in this router (all input FIFOs + local_out_).
   std::uint32_t occupancy_ = 0;
+  /// Bit slot(port, class) is set iff that input FIFO is non-empty.
+  std::uint32_t nonempty_ = 0;
+  Cycle next_ready_ = kNoCycle;  ///< see next_ready()
   std::uint64_t* occupied_word_;  ///< this router's worklist word and bit
   std::uint64_t occupied_mask_;
 };

@@ -53,6 +53,7 @@ void SimPerf::add(const SimPerf& other) {
   msg.express_declined += other.msg.express_declined;
   msg.express_materialized += other.msg.express_materialized;
   msg.router_visits += other.msg.router_visits;
+  msg.router_busy_visits += other.msg.router_busy_visits;
   spin.parks += other.spin.parks;
   spin.elided += other.spin.elided;
   spin.unparks_inv += other.spin.unparks_inv;
@@ -90,7 +91,8 @@ std::string SimPerf::summary() const {
       << "); express " << msg.express_hits << " hits, "
       << msg.express_declined << " declined, " << msg.express_materialized
       << " materialized (" << msg.express_hit_rate() * 100.0
-      << "% hit rate); " << msg.router_visits << " router visits\n";
+      << "% hit rate); " << msg.router_visits << " router visits ("
+      << msg.router_busy_visits << " busy)\n";
   oss << "spin: " << spin.parks << " parks, " << spin.elided
       << " elided iterations; unparks " << spin.unparks_inv << " inv, "
       << spin.unparks_fwd << " fwd\n";
@@ -127,7 +129,9 @@ void SimPerf::write_json(std::ostream& out, int indent) const {
   out << in2 << "\"express_materialized\": " << msg.express_materialized
       << ",\n";
   out << in2 << "\"express_hit_rate\": " << msg.express_hit_rate() << ",\n";
-  out << in2 << "\"router_visits\": " << msg.router_visits << "\n";
+  out << in2 << "\"router_visits\": " << msg.router_visits << ",\n";
+  out << in2 << "\"router_busy_visits\": " << msg.router_busy_visits
+      << "\n";
   out << in1 << "},\n";
   out << in1 << "\"spin\": {\n";
   out << in2 << "\"parks\": " << spin.parks << ",\n";

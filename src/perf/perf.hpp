@@ -44,6 +44,7 @@ struct MsgPathPerf {
   std::uint64_t express_declined = 0;     ///< fabric busy / conflict at send
   std::uint64_t express_materialized = 0; ///< flights demoted mid-flight
   std::uint64_t router_visits = 0;  ///< router ticks the mesh performed
+  std::uint64_t router_busy_visits = 0;  ///< ... that found a ready head
 
   /// Fraction of express-eligible sends that completed analytically.
   double express_hit_rate() const;

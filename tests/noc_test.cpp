@@ -2,7 +2,9 @@
 // backpressure, and Figure 9 traffic accounting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "common/config.hpp"
 #include "fault/fault.hpp"
 #include "noc/mesh.hpp"
+#include "sim/engine.hpp"
 
 namespace glocks::noc {
 namespace {
@@ -267,11 +270,16 @@ TEST(ExpressProperty, LockstepMatchesHopByHopExactly) {
 }
 
 // ---------------------------------------------------------------------
-// Router and NIC worklists past one 64-bit word. The mesh visits only
-// occupied routers and backlogged NICs in both engine modes, so the
-// serial-vs-event oracle cannot see it; these digests were recorded with
-// the tick-every-router mesh and pin the delivery stream of meshes whose
-// tiles span two (9x9) and four (16x16) worklist words.
+// Router and NIC worklists past one 64-bit word, and ready-time stepping.
+// The mesh visits only backlogged NICs and routers with a queue head due
+// in both engine modes, so the serial-vs-event oracle cannot see either;
+// a registered mesh also sleeps between hops. The digests were recorded
+// with a mesh that ticked every router each cycle (the first four cases)
+// or every occupied router each cycle without sleeping while a packet was
+// in flight (the rest). They pin the delivery stream of meshes whose
+// tiles span two (9x9) and four (16x16) worklist words, with 4- and
+// 8-cycle hops, and with depth-4 queues so that heads block on full
+// downstream queues.
 
 /// One send of a pre-generated traffic schedule.
 struct ScheduledSend {
@@ -282,10 +290,12 @@ struct ScheduledSend {
 };
 
 /// Seeded random traffic: sparse phases (express flights engage)
-/// alternate with bursts that load many routers at once.
+/// alternate with bursts that load many routers at once. With `fan_in`
+/// the bursts all head for tiles 0-3, so their queues fill up.
 std::vector<ScheduledSend> random_traffic(std::uint32_t tiles,
                                           std::uint64_t seed,
-                                          Cycle cycles) {
+                                          Cycle cycles,
+                                          bool fan_in = false) {
   std::vector<ScheduledSend> out;
   Rng rng(seed);
   for (Cycle c = 0; c < cycles; ++c) {
@@ -294,7 +304,7 @@ std::vector<ScheduledSend> random_traffic(std::uint32_t tiles,
     const int n = burst ? 1 + static_cast<int>(rng.below(8)) : 1;
     for (int i = 0; i < n; ++i) {
       const auto src = static_cast<CoreId>(rng.below(tiles));
-      auto dst = static_cast<CoreId>(rng.below(tiles));
+      auto dst = static_cast<CoreId>(rng.below(fan_in && burst ? 4 : tiles));
       if (dst == src) dst = (dst + 1) % tiles;
       out.push_back({c, src, dst, static_cast<MsgClass>(rng.below(3))});
     }
@@ -302,18 +312,21 @@ std::vector<ScheduledSend> random_traffic(std::uint32_t tiles,
   return out;
 }
 
-/// A manually-ticked mesh that folds every delivery's (seq, cycle) into
-/// an FNV-1a digest, in delivery order.
+/// A mesh that folds every delivery's (seq, cycle) into an FNV-1a
+/// digest, in delivery order. Ticked by hand through run_to(), or by an
+/// engine it is registered with (`engine` then supplies the clock).
 struct DigestMesh {
-  DigestMesh(std::uint32_t width, const char* faults)
-      : mesh(width * width, width, NocConfig{}) {
+  DigestMesh(std::uint32_t width, const char* faults,
+             const NocConfig& cfg = NocConfig{},
+             const sim::Engine* engine = nullptr)
+      : mesh(width * width, width, cfg) {
     if (faults != nullptr) {
       mesh.enable_fault_domain(fault::parse_fault_spec(faults));
     }
     for (CoreId t = 0; t < width * width; ++t) {
-      mesh.set_sink(t, [this](Packet&& p) {
+      mesh.set_sink(t, [this, engine](Packet&& p) {
         fold(p.seq);
-        fold(now);
+        fold(engine == nullptr ? now : engine->now());
         ++delivered;
       });
     }
@@ -328,12 +341,13 @@ struct DigestMesh {
               Cycle end) {
     for (; now < end; ++now) {
       for (; next < sched.size() && sched[next].at == now; ++next) {
-        const ScheduledSend& s = sched[next];
-        mesh.send(s.src, s.dst, s.cls,
-                  s.cls == MsgClass::kReply ? 72 : 8, now);
+        send(mesh, sched[next], now);
       }
       mesh.tick(now);
     }
+  }
+  static void send(Mesh& m, const ScheduledSend& s, Cycle now) {
+    m.send(s.src, s.dst, s.cls, s.cls == MsgClass::kReply ? 72 : 8, now);
   }
 
   Mesh mesh;
@@ -344,32 +358,60 @@ struct DigestMesh {
 
 struct WorklistCase {
   std::uint32_t width;
+  Cycle router_latency;
+  Cycle link_latency;
+  std::uint32_t queue_depth;
   const char* faults;  ///< --faults spec, or null for a clean mesh
   std::uint64_t digest;
+
+  NocConfig config() const {
+    NocConfig cfg;
+    cfg.router_latency = router_latency;
+    cfg.link_latency = link_latency;
+    cfg.input_queue_depth = queue_depth;
+    return cfg;
+  }
+  ::testing::Message describe() const {
+    return ::testing::Message()
+           << width << "x" << width << ", " << router_latency << "/"
+           << link_latency << " hops, depth " << queue_depth << ", "
+           << (faults == nullptr ? "clean" : faults);
+  }
 };
 
 constexpr Cycle kTrafficCycles = 2000;
 constexpr Cycle kDrainedBy = 12000;
 
-// Mesh faults: lossy and garbling links plus one link death mid-run, so
-// retransmissions and detours both run; the mesh stays connected.
+// Mesh faults: lossy (and garbling) links plus one link death mid-run,
+// so retransmissions and detours both run; the mesh stays connected.
 constexpr WorklistCase kWorklistCases[] = {
-    {9, nullptr, 2051577866824729571ull},
-    {9, "mesh:drop=2e-3,mesh:garble=1e-3,mesh:kill=40.e@700",
+    {9, 3, 1, 16, nullptr, 2051577866824729571ull},
+    {9, 3, 1, 16, "mesh:drop=2e-3,mesh:garble=1e-3,mesh:kill=40.e@700",
      13064880978443027424ull},
-    {16, nullptr, 15380987694141764836ull},
-    {16, "mesh:drop=2e-3,mesh:garble=1e-3,mesh:kill=119.e@700",
+    {16, 3, 1, 16, nullptr, 15380987694141764836ull},
+    {16, 3, 1, 16, "mesh:drop=2e-3,mesh:garble=1e-3,mesh:kill=119.e@700",
      2192237269479168835ull},
+    {9, 3, 1, 4, nullptr, 8315123660015112281ull},
+    {9, 3, 1, 4, "mesh:drop=2e-3,mesh:kill=40.e@700",
+     14426252645298998586ull},
+    {9, 5, 3, 4, nullptr, 5097447016825287351ull},
+    {9, 5, 3, 4, "mesh:drop=2e-3,mesh:kill=40.e@700",
+     5114823439127595394ull},
 };
+
+constexpr std::uint32_t kDefaultDepth = NocConfig{}.input_queue_depth;
+
+/// Cases with short queues fan their bursts in, so that heads block.
+std::vector<ScheduledSend> case_traffic(const WorklistCase& wc) {
+  return random_traffic(wc.width * wc.width, wc.width, kTrafficCycles,
+                        wc.queue_depth < kDefaultDepth);
+}
 
 TEST(MeshWorklist, RandomTrafficBeyondOneWordMatchesRecordedDigest) {
   for (const WorklistCase& wc : kWorklistCases) {
-    SCOPED_TRACE(::testing::Message()
-                 << wc.width << "x" << wc.width << " "
-                 << (wc.faults == nullptr ? "clean" : wc.faults));
-    const auto sched =
-        random_traffic(wc.width * wc.width, wc.width, kTrafficCycles);
-    DigestMesh m(wc.width, wc.faults);
+    SCOPED_TRACE(wc.describe());
+    const auto sched = case_traffic(wc);
+    DigestMesh m(wc.width, wc.faults, wc.config());
     std::size_t next = 0;
     m.run_to(sched, next, kDrainedBy);
     ASSERT_TRUE(m.mesh.idle());
@@ -385,6 +427,61 @@ TEST(MeshWorklist, RandomTrafficBeyondOneWordMatchesRecordedDigest) {
       EXPECT_GT(m.mesh.express_perf().hits, 0u);
       EXPECT_GT(m.mesh.express_perf().materialized, 0u);
     }
+    if (wc.queue_depth < kDefaultDepth) {
+      // Full queues must have held heads back: with default-depth queues
+      // the same traffic delivers differently.
+      WorklistCase deep = wc;
+      deep.queue_depth = kDefaultDepth;
+      DigestMesh d(wc.width, wc.faults, deep.config());
+      std::size_t d_next = 0;
+      d.run_to(sched, d_next, kDrainedBy);
+      EXPECT_NE(d.digest, m.digest);
+    }
+  }
+}
+
+/// Plays a schedule into a registered mesh, sleeping between send cycles.
+class Feeder final : public sim::Component {
+ public:
+  Feeder(Mesh& mesh, const std::vector<ScheduledSend>& sched)
+      : mesh_(mesh), sched_(sched) {}
+  void tick(Cycle now) override {
+    for (; next_ < sched_.size() && sched_[next_].at == now; ++next_) {
+      DigestMesh::send(mesh_, sched_[next_], now);
+    }
+    if (next_ < sched_.size()) {
+      sleep_until(sched_[next_].at);
+    } else {
+      sleep();
+    }
+  }
+
+ private:
+  Mesh& mesh_;
+  const std::vector<ScheduledSend>& sched_;
+  std::size_t next_ = 0;
+};
+
+TEST(MeshWorklist, EngineRegisteredMeshMatchesRecordedDigest) {
+  // Registered, the mesh sleeps between hops under the event kernel and
+  // is ticked every cycle under the serial one; both match the digest.
+  for (const WorklistCase& wc : kWorklistCases) {
+    for (const EngineMode mode :
+         {EngineMode::kEventDriven, EngineMode::kSerial}) {
+      SCOPED_TRACE(wc.describe() << (mode == EngineMode::kSerial
+                                         ? ", serial engine"
+                                         : ", event engine"));
+      const auto sched = case_traffic(wc);
+      sim::Engine engine(mode);
+      DigestMesh m(wc.width, wc.faults, wc.config(), &engine);
+      Feeder feeder(m.mesh, sched);
+      engine.add(feeder, "feeder");
+      engine.add(m.mesh, "mesh");
+      engine.run_until([&] { return m.delivered == sched.size(); },
+                       kDrainedBy);
+      EXPECT_TRUE(m.mesh.idle());
+      EXPECT_EQ(m.digest, wc.digest);
+    }
   }
 }
 
@@ -393,12 +490,9 @@ TEST(MeshWorklist, SaveLoadMidFlightContinuesIdentically) {
                            [](ckpt::ArchiveReader&, Packet&) {},
                            [](Packet&) {}};
   for (const WorklistCase& wc : kWorklistCases) {
-    SCOPED_TRACE(::testing::Message()
-                 << wc.width << "x" << wc.width << " "
-                 << (wc.faults == nullptr ? "clean" : wc.faults));
-    const auto sched =
-        random_traffic(wc.width * wc.width, wc.width, kTrafficCycles);
-    DigestMesh original(wc.width, wc.faults);
+    SCOPED_TRACE(wc.describe());
+    const auto sched = case_traffic(wc);
+    DigestMesh original(wc.width, wc.faults, wc.config());
     std::size_t next = 0;
     // Mid-burst: many routers occupied and NIC outboxes backlogged.
     original.run_to(sched, next, 1350);
@@ -408,7 +502,7 @@ TEST(MeshWorklist, SaveLoadMidFlightContinuesIdentically) {
     original.mesh.save(w, codec);
     w.end_section();
 
-    DigestMesh restored(wc.width, wc.faults);
+    DigestMesh restored(wc.width, wc.faults, wc.config());
     ckpt::ArchiveReader r(w.buffer());
     ASSERT_TRUE(r.next_section());
     restored.mesh.load(r, codec);
@@ -422,6 +516,132 @@ TEST(MeshWorklist, SaveLoadMidFlightContinuesIdentically) {
     EXPECT_EQ(restored.delivered, original.delivered);
     EXPECT_EQ(restored.digest, original.digest);
     EXPECT_EQ(restored.digest, wc.digest);
+  }
+}
+
+/// Sends one packet at cycle 0, then sleeps for good.
+class OneShot final : public sim::Component {
+ public:
+  OneShot(Mesh& mesh, CoreId src, CoreId dst)
+      : mesh_(mesh), src_(src), dst_(dst) {}
+  void tick(Cycle now) override {
+    mesh_.send(src_, dst_, MsgClass::kRequest, 8, now);
+    sleep();
+  }
+
+ private:
+  Mesh& mesh_;
+  CoreId src_, dst_;
+};
+
+TEST(MeshWorklist, LonePacketTicksTheMeshOncePerHop) {
+  // Corner to corner on a 16x16 mesh without express routes: the packet
+  // is injected, switched 31 times (30 hops plus ejection) and delivered.
+  // A mesh that ticks only when a head is due needs about one tick per
+  // switch; one that ticks every cycle in flight needs 4 per hop.
+  constexpr std::uint32_t kWidth = 16;
+  NocConfig cfg;
+  cfg.express_routes = false;
+  sim::Engine engine;
+  Mesh mesh(kWidth * kWidth, kWidth, cfg);
+  bool delivered = false;
+  Cycle delivered_at = 0;
+  for (CoreId t = 0; t < kWidth * kWidth; ++t) {
+    mesh.set_sink(t, [&](Packet&&) {
+      delivered = true;
+      delivered_at = engine.now();
+    });
+  }
+  OneShot sender(mesh, 0, kWidth * kWidth - 1);
+  engine.add(sender, "sender");
+  engine.add(mesh, "mesh");
+  engine.run_until([&] { return delivered; }, 1000);
+  const std::uint32_t hops = mesh.hop_distance(0, kWidth * kWidth - 1);
+  ASSERT_EQ(hops, 30u);
+  std::uint64_t mesh_ticks = 0;
+  for (const auto& sp : engine.slot_perf()) {
+    if (sp.name == "mesh") mesh_ticks = sp.ticks;
+  }
+  EXPECT_LE(mesh_ticks, hops + 4);
+  // The zero-load latency is unchanged: inject(1) + hops*(3 + 1) + 3.
+  EXPECT_EQ(delivered_at, 1 + hops * 4 + 3);
+}
+
+TEST(RouterArbitration, FullRouterMatchesReferenceScanOrder) {
+  // A center router (tile 4 of a 3x3 grid) with all four neighbors. Each
+  // of its 15 (port, class) queues holds three ready packets whose
+  // destinations collide on the output ports, so which head wins each
+  // port depends on the scan order alone. The reference is the plain
+  // rotating scan: slots rr, rr+1, ... mod 15, one winner per output.
+  constexpr std::size_t kSlots = kNumDirs * kNumMsgClasses;
+  // Destination tile for each output direction, in Dir order.
+  constexpr CoreId kDstFor[kNumDirs] = {4, 1, 7, 5, 3};
+  for (const std::uint32_t rr : {0u, 7u, 14u}) {
+    SCOPED_TRACE(::testing::Message() << "rr = " << rr);
+    TrafficStats stats;
+    std::uint64_t occupied = 0;
+    std::vector<std::unique_ptr<Router>> grid;
+    for (std::uint32_t t = 0; t < 9; ++t) {
+      grid.push_back(std::make_unique<Router>(t % 3, t / 3, 3, RouterTiming{},
+                                              stats, &occupied,
+                                              std::uint64_t{1} << t));
+    }
+    Router& c = *grid[4];
+    c.connect(Dir::kNorth, *grid[1]);
+    c.connect(Dir::kSouth, *grid[7]);
+    c.connect(Dir::kEast, *grid[5]);
+    c.connect(Dir::kWest, *grid[3]);
+    for (std::uint32_t i = 0; i < rr; ++i) c.credit_busy_tick();
+
+    struct Queued {
+      std::uint64_t seq;
+      std::size_t out;
+    };
+    std::array<std::deque<Queued>, kSlots> model;
+    std::uint64_t seq = 0;
+    for (std::size_t k = 0; k < 3; ++k) {
+      for (std::size_t s = 0; s < kSlots; ++s) {
+        const std::size_t out = (s * 7 + k * 3) % kNumDirs;
+        Packet p;
+        p.src = 4;
+        p.dst = kDstFor[out];
+        p.cls = static_cast<MsgClass>(s % kNumMsgClasses);
+        p.size_bytes = 8;
+        p.seq = seq++;
+        model[s].push_back(Queued{p.seq, out});
+        c.accept(static_cast<Dir>(s / kNumMsgClasses), std::move(p), 0);
+      }
+    }
+    std::size_t ptr = rr;
+    std::size_t ejected = 0;
+    for (Cycle now = 0; now < 3; ++now) {
+      bool used[kNumDirs] = {};
+      std::vector<std::size_t> winners;
+      for (std::size_t scan = 0; scan < kSlots; ++scan) {
+        const std::size_t s = (ptr + scan) % kSlots;
+        if (model[s].empty() || used[model[s].front().out]) continue;
+        used[model[s].front().out] = true;
+        winners.push_back(s);
+      }
+      c.tick(now);
+      for (const std::size_t s : winners) {
+        if (model[s].front().out == 0) ++ejected;
+        model[s].pop_front();
+      }
+      ptr = (ptr + 1) % kSlots;
+      std::size_t queued = 0;
+      for (std::size_t s = 0; s < kSlots; ++s) {
+        queued += model[s].size();
+        if (model[s].empty()) continue;
+        EXPECT_EQ(c.peek_head(static_cast<Dir>(s / kNumMsgClasses),
+                              static_cast<MsgClass>(s % kNumMsgClasses))
+                      .seq,
+                  model[s].front().seq)
+            << "slot " << s << " after cycle " << now;
+      }
+      // Ejected packets wait router_latency cycles in the local queue.
+      EXPECT_EQ(c.occupancy(), queued + ejected);
+    }
   }
 }
 
