@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Simulator-throughput smoke: runs bench/sim_throughput at reduced scale
 # and compares the event-kernel speedup and skip fraction against the
-# committed full-scale baseline (BENCH_sim_throughput.json).
+# committed baseline (BENCH_sim_throughput.json, recorded at scale 0.25,
+# the scale CI runs).
 #
 # The gate is deliberately generous — CI machines vary wildly in clock
 # speed and load, so absolute Mcycles/s is not checked at all. What must

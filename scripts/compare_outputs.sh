@@ -11,7 +11,9 @@
 #     SCTR under MCS, GLock and TATAS and RAYTR under MCS and GLock —
 #     machines whose engine slots and mesh tiles span several 64-bit
 #     worklist words, plus SCTR under MCS and GLock with mesh drops and a
-#     link death armed (routers skip cycles with no head due there too);
+#     link death armed (routers skip cycles with no head due there too),
+#     and SCTR under MCS and GLock with the faulted perfbench sweep's
+#     G-line+mesh plan (guarded GLock units sleep between deadlines);
 #   - a clean and a G-line+mesh-faulted `glocks-sweep` CSV, each at
 #     --jobs 1 and --jobs 4 (the new build's --jobs 1 and --jobs 4 CSVs
 #     must also match each other).
@@ -99,10 +101,14 @@ for lock in mcs glock; do
   run_both "glocksim-SCTR-$lock-256-meshfault.json" src/tools/glocksim \
       --workload SCTR --lock "$lock" --cores 256 --gline-latency 2 \
       --scale 0.1 --faults mesh:drop=1e-4,mesh:kill=1.e@2000 --json
+  run_both "glocksim-SCTR-$lock-256-faulted.json" src/tools/glocksim \
+      --workload SCTR --lock "$lock" --cores 256 --gline-latency 2 \
+      --scale 0.1 --faults drop=0.001,noise=0.0001,mesh:rate=0.0005 --json
 done
 
 GRID=(--all --locks mcs,glock --cores 16,32 --seeds 1,2 --scale 0.5)
-FAULTS="drop=1e-3,garble=1e-3,stuck=1e-4,mesh:drop=1e-4,mesh:kill=1.e@2000"
+FAULTS="drop=1e-3,garble=1e-3,delay=1e-3,noise=1e-4,stuck=1e-4"
+FAULTS+=",mesh:drop=1e-4,mesh:kill=1.e@2000"
 for jobs in 1 4; do
   run_both "sweep-clean-j$jobs.csv" src/tools/glocks-sweep \
       "${GRID[@]}" --jobs "$jobs"

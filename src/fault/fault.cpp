@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -19,6 +20,8 @@ std::uint64_t mix(std::uint64_t z) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
+
+constexpr std::uint32_t kNoiseSalt = 0x2015E;
 
 std::uint32_t latency_bucket(Cycle latency) {
   if (latency < 1) latency = 1;
@@ -43,6 +46,14 @@ const char* to_string(FaultKind k) {
 FaultInjector::FaultInjector(const FaultConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
   stats_.enabled = cfg_.enabled;
+  noise_seed_ = mix(cfg_.seed ^ (std::uint64_t{kNoiseSalt} << 40));
+  // roll() < rate  <=>  (h >> 11) < rate * 2^53  <=>  (h >> 11) <
+  // ceil(rate * 2^53): the left side is an integer, and scaling by 2^53
+  // is exact. A rate of 1 gives 2^53, which every 53-bit value is below.
+  if (cfg_.enabled && cfg_.noise_rate > 0.0) {
+    noise_threshold_ = static_cast<std::uint64_t>(
+        std::ceil(std::ldexp(std::min(cfg_.noise_rate, 1.0), 53)));
+  }
 }
 
 std::uint32_t FaultInjector::register_wire() {
@@ -109,8 +120,21 @@ std::int32_t FaultInjector::noise_event_at(std::uint32_t wire, Cycle now) {
   if (!cfg_.enabled || cfg_.noise_rate <= 0.0) return -1;
   // A stuck wire cannot carry noise either: it is held at a rail.
   if (stuck_from_[wire] != kNoCycle && now >= stuck_from_[wire]) return -1;
-  if (roll(wire, now, 0x2015E) >= cfg_.noise_rate) return -1;
+  if (roll(wire, now, kNoiseSalt) >= cfg_.noise_rate) return -1;
   return record(FaultKind::kNoise, wire, now);
+}
+
+Cycle FaultInjector::next_noise(std::uint32_t wire, Cycle from,
+                                Cycle until) const {
+  const Cycle stuck = stuck_from_[wire];
+  if (noise_threshold_ == 0 || stuck <= from) return kNoCycle;
+  const Cycle end = std::min(until, stuck);
+  const std::uint64_t key =
+      noise_seed_ ^ (static_cast<std::uint64_t>(wire) << 32);
+  for (Cycle c = from; c < end; ++c) {
+    if ((mix(key ^ c) >> 11) < noise_threshold_) return c;
+  }
+  return end == stuck ? kNoCycle : until;
 }
 
 void FaultInjector::close_detected(std::int32_t event, Cycle now) {

@@ -150,6 +150,13 @@ class FaultInjector {
   /// Returns the ledger event id, or -1.
   std::int32_t noise_event_at(std::uint32_t wire, Cycle now);
 
+  /// Noise lookahead: the first cycle in [from, until) on which
+  /// noise_event_at(wire, ·) would fire; `until` when none does; kNoCycle
+  /// when the wire can never carry noise again (noise off, or stuck at or
+  /// before the first firing cycle). Same (seed, wire, cycle) predicate,
+  /// compared as an integer threshold; records nothing.
+  Cycle next_noise(std::uint32_t wire, Cycle from, Cycle until) const;
+
   // ---- lifecycle callbacks from the guarded transport ----
   /// Receiver discarded an invalid frame carrying `event` (garble/noise).
   void on_rx_discard(std::int32_t event, Cycle now);
@@ -183,6 +190,10 @@ class FaultInjector {
   void close_detected(std::int32_t event, Cycle now);
 
   FaultConfig cfg_;
+  /// roll()'s per-salt seed hash and the noise rate as a bound on its 53
+  /// hash bits, so next_noise() rolls one mix() per cycle.
+  std::uint64_t noise_seed_ = 0;
+  std::uint64_t noise_threshold_ = 0;
   std::vector<Cycle> stuck_from_;  ///< kNoCycle = never
   std::vector<std::int32_t> stuck_event_;
   std::vector<FaultEvent> ledger_;

@@ -72,6 +72,7 @@ Cycle FramedChannel::timeout_for(std::uint32_t retries) const {
 void FramedChannel::send(int from_end, Sym s) {
   GLOCKS_CHECK(s != Sym::kAck, "ACKs are link-layer internal");
   tx_[from_end].outq.push_back(s);
+  if (live_word_ != nullptr) *live_word_ |= live_mask_;
 }
 
 bool FramedChannel::recv(int end, Sym& out) {
@@ -196,6 +197,42 @@ void FramedChannel::tick(Cycle now) {
   }
 }
 
+Cycle FramedChannel::next_noise(int w, Cycle from) {
+  Cycle& at = noise_at_[w];
+  if (at < from) {
+    // Stop at the next power of two below kNoiseWindow, then at the next
+    // multiple of it: a fixed set of cycles, and a machine built and run
+    // for a few cycles (a checkpoint restore, a setup pause) rolls only
+    // as far as it runs.
+    const Cycle until =
+        from < kNoiseWindow
+            ? std::bit_ceil(from)
+            : (from + kNoiseWindow - 1) / kNoiseWindow * kNoiseWindow;
+    at = injector_->next_noise(wire(w).fault_id(), from, until);
+  }
+  return at;
+}
+
+Cycle FramedChannel::next_event(Cycle now) {
+  Cycle next = kNoCycle;
+  for (int w = 0; w < 2; ++w) {
+    next = std::min(next, wire(w).next_frame_at());
+    if (wire(w).fault_attached()) {
+      next = std::min(next, next_noise(w, now + 1));
+    }
+  }
+  if (!dead_) {
+    for (int d = 0; d < 2; ++d) {
+      const Tx& tx = tx_[d];
+      if (tx.in_flight) next = std::min(next, tx.retry_at);
+      const bool ready = rx_[1 - d].ack_pending ||
+                         (!tx.outq.empty() && (!tx.in_flight || tx.resend));
+      if (ready) next = std::min(next, busy_until_[d]);
+    }
+  }
+  return next == kNoCycle ? kNoCycle : std::max(next, now + 1);
+}
+
 bool FramedChannel::idle() const {
   for (int d = 0; d < 2; ++d) {
     if (!tx_[d].outq.empty() || tx_[d].in_flight) return false;
@@ -264,6 +301,7 @@ void FramedChannel::load(ckpt::ArchiveReader& a) {
     rx.ack_seq = a.u8();
   }
   dead_ = a.b();
+  noise_at_[0] = noise_at_[1] = 0;
 }
 
 }  // namespace glocks::gline

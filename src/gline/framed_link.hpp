@@ -40,6 +40,11 @@ namespace glocks::gline {
 /// Cycles one frame occupies its wire (start + 3 payload + parity + stop).
 inline constexpr Cycle kFrameCycles = 6;
 
+/// Longest noise lookahead: a query rolls a wire forward at most to the
+/// next power of two below this, or past it to the next multiple of it,
+/// and that cycle then counts as a (no-op) event. A power of two.
+inline constexpr Cycle kNoiseWindow = 1024;
+
 /// Symbols of the guarded protocol. REQ and REL are explicit (no toggle
 /// semantics), TOKEN is the grant, ACK is the link-layer acknowledgement.
 enum class Sym : std::uint8_t { kReq = 0, kRel = 1, kToken = 2, kAck = 3 };
@@ -66,6 +71,23 @@ class FramedChannel {
   /// One cycle: receive + ack bookkeeping, then transmission scheduling.
   void tick(Cycle now);
 
+  /// The earliest cycle after `now` on which tick() could do anything,
+  /// or kNoCycle: a frame maturing, an armed watchdog's retry_at, the
+  /// wire freeing up for a waiting ACK or data frame, or the next noise
+  /// cycle on either attached wire. A tick on any other cycle is a no-op,
+  /// so an owner that ticks the channel only then (and after every
+  /// send()) runs it exactly as ticking every cycle would. The noise
+  /// lookahead stops at a fixed set of cycles (see kNoiseWindow), so the
+  /// result depends only on the channel's state and `now`.
+  Cycle next_event(Cycle now);
+
+  /// Marks the owner's live-set bit (`*word |= mask`) on every send(), so
+  /// an owner that ticks only live channels picks up new traffic.
+  void set_live_bit(std::uint64_t* word, std::uint64_t mask) {
+    live_word_ = word;
+    live_mask_ = mask;
+  }
+
   /// True once some frame exhausted its retry budget. A dead link stays
   /// dead: the unit above reacts by draining and demoting its GLock.
   bool dead() const { return dead_; }
@@ -81,7 +103,8 @@ class FramedChannel {
 
   /// Checkpoint: both wires, both ARQ directions (queues, sequence bits,
   /// watchdog timers, pending fault events) and the dead flag. Timeout
-  /// parameters and fault wiring are construction-time state.
+  /// parameters and fault wiring are construction-time state; the noise
+  /// lookahead is derived and recomputed after load.
   void save(ckpt::ArchiveWriter& a) const;
   void load(ckpt::ArchiveReader& a);
 
@@ -109,6 +132,8 @@ class FramedChannel {
   void deliver(int dir, const Frame& f, Cycle now);
   void start_frame(int w, Sym s, std::uint8_t seq, int data_dir, Cycle now);
   Cycle timeout_for(std::uint32_t retries) const;
+  /// First noise cycle at or after `from` on wire `w` (see next_event).
+  Cycle next_noise(int w, Cycle from);
   std::uint64_t& counter(std::uint64_t fault::FaultStats::* field);
 
   Wire up_;    ///< wire 0: driven by end 0 (child)
@@ -122,6 +147,11 @@ class FramedChannel {
   Tx tx_[2];  ///< indexed by data direction (== driving wire)
   Rx rx_[2];
   bool dead_ = false;
+  /// Cached next_noise() per wire; valid for queries from at most itself
+  /// (0 = stale).
+  Cycle noise_at_[2] = {0, 0};
+  std::uint64_t* live_word_ = nullptr;
+  std::uint64_t live_mask_ = 0;
 };
 
 }  // namespace glocks::gline

@@ -2,6 +2,7 @@
 // propagation (Section II / III-A of the paper).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -147,6 +148,14 @@ class Wire {
       frames_.push_back(f);
     }
     pulses_sent_ = a.u64();
+  }
+
+  /// Maturity cycle of the earliest-maturing frame in flight, or
+  /// kNoCycle when none is.
+  Cycle next_frame_at() const {
+    Cycle at = kNoCycle;
+    for (const Frame& f : frames_) at = std::min(at, f.at);
+    return at;
   }
 
   bool is_gline() const { return !is_local_; }

@@ -1,5 +1,6 @@
 #include "gline/gline_system.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -61,10 +62,18 @@ void GlineSystem::tick(Cycle now) {
   for (auto& u : hier_units_) u->tick(now);
   for (auto& u : guarded_units_) u->tick(now);
   for (auto& b : barriers_) b->tick(now);
-  // Fault runs never sleep: the injector's schedule advances with the
-  // clock, independent of protocol activity. Otherwise the cores' lock
-  // and barrier register writes wake us (thread.hpp awaiters).
-  if (injector_ == nullptr && dormant()) sleep();
+  // The cores' lock and barrier register writes wake us (thread.hpp
+  // awaiters). Guarded units also keep deadlines of their own — frames
+  // maturing, watchdogs, noise cycles — so a fault run sleeps to the
+  // earliest of those.
+  if (!dormant()) return;
+  Cycle next = kNoCycle;
+  for (const auto& u : guarded_units_) next = std::min(next, u->next_tick());
+  if (next == kNoCycle) {
+    sleep();
+  } else if (next > now + 1) {
+    sleep_until(next);
+  }
 }
 
 bool GlineSystem::dormant() const {

@@ -60,8 +60,9 @@ class GlineSystem final : public sim::Component {
   GBarrierStats total_barrier_stats() const;
   bool idle() const;
 
-  /// True when every lock unit and barrier is dormant (a tick would be a
-  /// no-op). Always false in fault mode — the injector needs the clock.
+  /// True when every clean lock unit and barrier is dormant (a tick
+  /// would be a no-op). Guarded units are not consulted: tick() sleeps
+  /// to their next_tick() deadline instead.
   bool dormant() const;
 
   /// Health board consulted by the lock factory; null when faults are

@@ -72,6 +72,22 @@ GuardedGlockUnit::GuardedGlockUnit(
     prev_is_cores = false;
     if (!hierarchical) span = count;  // flat: one root over the rows
   }
+
+  for (auto& lf : leaves_) channels_.push_back(lf.ch.get());
+  for (auto& m : mgrs_) {
+    if (m.up) channels_.push_back(m.up.get());
+  }
+  live_.resize(channels_.size());  // sized once: channels hold its words
+  due_.resize(channels_.size());
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    channels_[i]->set_live_bit(live_.word(i), common::WordBitset::mask(i));
+  }
+  reset_schedule();
+}
+
+void GuardedGlockUnit::reset_schedule() {
+  std::fill(due_.begin(), due_.end(), Cycle{0});
+  next_tick_ = 0;
 }
 
 FramedChannel& GuardedGlockUnit::child_channel(Mgr& m, std::uint32_t i) {
@@ -187,6 +203,16 @@ void GuardedGlockUnit::tick_mgr(Mgr& m, Cycle now) {
   m.up->send(0, Sym::kRel);
 }
 
+bool GuardedGlockUnit::mgr_settled(const Mgr& m) const {
+  if (failing_) return true;
+  const bool any_pending =
+      std::find(m.fx.begin(), m.fx.end(), true) != m.fx.end();
+  if (!m.has_token) return m.is_root || m.requested || !any_pending;
+  // A holder with nothing granted grants, resets its round-robin cursor
+  // or (below the root) passes the token up on its next pass.
+  return m.granted != -1 || (m.is_root && m.pos == 0 && !any_pending);
+}
+
 void GuardedGlockUnit::try_demote(Cycle now) {
   // Demotion is safe only once no leaf holds the token and no granted
   // token can still arrive on a live channel — a token landing after the
@@ -224,23 +250,30 @@ void GuardedGlockUnit::flush_registers() {
 void GuardedGlockUnit::tick(Cycle now) {
   if (demoted_) {
     flush_registers();
+    next_tick_ = kNoCycle;  // from here on only register writes matter
     return;
   }
-  for (auto& lf : leaves_) lf.ch->tick(now);
-  for (auto& m : mgrs_) {
-    if (m.up) m.up->tick(now);
+  for (std::size_t i = 0; i < due_.size(); ++i) {
+    if (due_[i] <= now) live_.set(i);
   }
-  if (!failing_) {
-    for (const auto& lf : leaves_) {
-      if (lf.ch->dead()) failing_ = true;
-    }
-    for (const auto& m : mgrs_) {
-      if (m.up && m.up->dead()) failing_ = true;
-    }
-  }
+  live_.for_each([this, now](std::size_t i) {
+    FramedChannel& ch = *channels_[i];
+    ch.tick(now);
+    if (ch.dead()) failing_ = true;  // only a tick can kill a link
+    due_[i] = ch.next_event(now);
+    live_.reset(i);
+  });
   for (auto& lf : leaves_) tick_leaf(lf, now);
   for (auto& m : mgrs_) tick_mgr(m, now);
   if (failing_) try_demote(now);
+
+  next_tick_ = *std::min_element(due_.begin(), due_.end());
+  // Sends marked channels live; a demotion still owes one flush.
+  const bool again =
+      demoted_ || !live_.none() ||
+      std::any_of(mgrs_.begin(), mgrs_.end(),
+                  [this](const Mgr& m) { return !mgr_settled(m); });
+  if (again) next_tick_ = now + 1;
 }
 
 std::optional<CoreId> GuardedGlockUnit::holder() const {
@@ -344,6 +377,7 @@ void GuardedGlockUnit::load(ckpt::ArchiveReader& a) {
   failing_ = a.b();
   demoted_ = a.b();
   load_gline_stats(a, stats_);
+  reset_schedule();
 }
 
 }  // namespace glocks::gline

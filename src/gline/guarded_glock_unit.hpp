@@ -14,9 +14,16 @@
 //     unit waits until no leaf holds — or can still receive — the token
 //     (the drain), then demotes itself: it flags the GLock as demoted on
 //     the shared GlockHealth board and from then on merely flushes the
-//     cores' lock registers every cycle, so register spins always
-//     unblock and the ResilientGlock wrapper reroutes every acquire to
-//     its software fallback lock.
+//     cores' lock registers — once right after demoting, then on every
+//     tick a register write wakes — so register spins always unblock and
+//     the ResilientGlock wrapper reroutes every acquire to its software
+//     fallback lock.
+//
+// A tick visits only the live channels: those a send() marked and those
+// whose next_event() deadline is due, leaves first and then manager
+// up-links, the order a tick-every-channel loop would use, so fault
+// ledger ids come out identical. next_tick() tells the G-line system
+// when the unit next has work without a register write.
 //
 // The same round-robin pass runs at every level, so FIFO-per-level
 // fairness is preserved exactly as in the baseline units for as long as
@@ -32,6 +39,7 @@
 
 #include "common/config.hpp"
 #include "common/types.hpp"
+#include "common/word_bitset.hpp"
 #include "core/thread.hpp"
 #include "fault/fault.hpp"
 #include "gline/framed_link.hpp"
@@ -56,6 +64,12 @@ class GuardedGlockUnit {
 
   void tick(Cycle now);
 
+  /// The next cycle on which tick() has work that no register write
+  /// announces: a channel deadline, a channel sent to, a manager that
+  /// acts again next cycle, or the register flush right after demotion.
+  /// kNoCycle when only a register write can give the unit work.
+  Cycle next_tick() const { return next_tick_; }
+
   const GlineStats& stats() const { return stats_; }
   std::uint32_t num_glines() const { return num_glines_; }
   std::optional<CoreId> holder() const;
@@ -67,7 +81,8 @@ class GuardedGlockUnit {
   std::string debug_dump() const;
 
   /// Checkpoint: leaf FSMs + channels, manager flags/token state, holder
-  /// count, failing/demoted flags, stats.
+  /// count, failing/demoted flags, stats. The live set and deadlines are
+  /// derived: load marks every channel live and due now.
   void save(ckpt::ArchiveWriter& a) const;
   void load(ckpt::ArchiveReader& a);
 
@@ -96,8 +111,13 @@ class GuardedGlockUnit {
   const FramedChannel& child_channel(const Mgr& m, std::uint32_t i) const;
   void tick_leaf(Leaf& lf, Cycle now);
   void tick_mgr(Mgr& m, Cycle now);
+  /// True when tick_mgr, run again with no new input, would change
+  /// nothing (the round robin can take two passes to grant or re-request).
+  bool mgr_settled(const Mgr& m) const;
   void try_demote(Cycle now);
   void flush_registers();
+  /// Marks every channel due now (construction and load).
+  void reset_schedule();
 
   GlockId glock_;
   FaultConfig cfg_;
@@ -108,6 +128,12 @@ class GuardedGlockUnit {
   std::vector<Mgr> mgrs_;  ///< level order; root last
   std::vector<std::uint32_t> leaf_mgr_;   ///< leaf -> owning manager
   std::vector<std::uint32_t> leaf_slot_;  ///< leaf -> child index there
+  /// Every channel: leaves' in leaf order, then manager up-links in
+  /// manager order — the tick order.
+  std::vector<FramedChannel*> channels_;
+  common::WordBitset live_;  ///< channels to tick on the next tick
+  std::vector<Cycle> due_;   ///< per channel: its next_event()
+  Cycle next_tick_ = 0;
   std::uint32_t holder_count_ = 0;
   bool failing_ = false;
   bool demoted_ = false;

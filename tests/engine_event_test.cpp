@@ -436,5 +436,32 @@ TEST(EventVsSerial, FaultedMcsIsBitIdentical) {
   EXPECT_GT(parks, 0u);
 }
 
+// The G-line system sleeps to its guarded units' deadlines (frames
+// maturing, watchdogs, noise cycles) in fault mode; the serial kernel
+// ticks it every cycle. Under sweep-faulted's plan, and under a stuck-at
+// plan that kills a link and demotes the GLock to its software fallback,
+// both kernels must agree on every reported metric.
+TEST(EventVsSerial, FaultedGlockIsBitIdentical) {
+  for (const char* spec :
+       {"drop=0.001,noise=0.0001,mesh:rate=0.0005",
+        "drop=0.001,noise=0.0001,stuck=0.05,stuck_horizon=5000"}) {
+    SCOPED_TRACE(spec);
+    auto serial_wl = workloads::make_workload("SCTR", kScale);
+    auto event_wl = workloads::make_workload("SCTR", kScale);
+    harness::RunConfig cfg = mode_config(locks::LockKind::kGlock);
+    cfg.cmp.fault = fault::parse_fault_spec(spec);
+    cfg.cmp.engine_mode = EngineMode::kSerial;
+    const auto serial = harness::run_workload(*serial_wl, cfg);
+    cfg.cmp.engine_mode = EngineMode::kEventDriven;
+    const auto event = harness::run_workload(*event_wl, cfg);
+    const std::string diff = test::diff_results(serial, event);
+    EXPECT_EQ(diff, "") << diff;
+    EXPECT_GT(serial.gline.acquires_granted, 0u);
+    if (cfg.cmp.fault.stuck_rate > 0.0) {
+      EXPECT_GT(serial.fault.fallback_demotions, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace glocks::sim

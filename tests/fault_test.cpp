@@ -2,7 +2,8 @@
 // guarded G-line transport built on it: injector determinism and ledger
 // reconciliation, --faults spec parsing, the wire double-drive invariant,
 // reliable exactly-once delivery over lossy wires, link death after the
-// retry budget, guarded-unit grants and demotion, and the structured
+// retry budget, guarded-unit grants and demotion, the noise lookahead,
+// recorded digests of the event-driven guarded units, and the structured
 // hang diagnostic that replaced the bare cycle-limit abort.
 #include <gtest/gtest.h>
 
@@ -11,12 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/archive.hpp"
 #include "common/check.hpp"
 #include "common/config.hpp"
 #include "core/thread.hpp"
 #include "fault/fault.hpp"
 #include "gline/framed_link.hpp"
 #include "gline/gline.hpp"
+#include "gline/gline_system.hpp"
 #include "gline/guarded_glock_unit.hpp"
 #include "sim/engine.hpp"
 
@@ -152,6 +155,67 @@ TEST(FaultInjector, StuckWireLosesEveryFrameAfterOnset) {
       s.injected[static_cast<std::size_t>(fault::FaultKind::kStuckDrop)],
       8u);
   EXPECT_EQ(s.injected_total(), s.detected + s.tolerated);
+}
+
+// The lookahead that lets guarded channels sleep to their next noise
+// cycle must agree with noise_event_at on every wire and cycle — it
+// compares an integer threshold where noise_event_at compares a double,
+// and this test is what shows the two are the same predicate.
+TEST(FaultInjector, NextNoiseIsTheFirstCycleNoiseEventAtFires) {
+  constexpr std::uint32_t kWires = 6;
+  constexpr Cycle kSpan = 60000;  // several 1e-4 gaps
+  for (const std::uint64_t seed : {1ull, 42ull, 977ull}) {
+    for (const double rate : {0.0, 1e-4, 0.5, 1.0}) {
+      for (const bool stuck : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " rate "
+                                          << rate << " stuck " << stuck);
+        FaultConfig cfg;
+        cfg.enabled = true;
+        cfg.seed = seed;
+        cfg.noise_rate = rate;
+        if (stuck) {
+          cfg.stuck_rate = 0.7;  // most wires go stuck inside the span
+          cfg.stuck_horizon = kSpan;
+        }
+        fault::FaultInjector inj(cfg);
+        for (std::uint32_t w = 0; w < kWires; ++w) inj.register_wire();
+        std::uint32_t fired = 0;
+        std::uint32_t after_onset = 0;
+        for (std::uint32_t w = 0; w < kWires; ++w) {
+          const Cycle onset = inj.stuck_from(w);
+          std::vector<Cycle> froms = {1, 777, kSpan / 2};
+          if (onset != kNoCycle && onset > 0) {
+            froms.push_back(onset - 1);
+            froms.push_back(onset);
+          }
+          for (const Cycle from : froms) {
+            for (const Cycle until : {from + 3, from + kSpan}) {
+              Cycle expect = until;
+              for (Cycle c = from; c < until; ++c) {
+                if (inj.noise_event_at(w, c) >= 0) {
+                  expect = c;
+                  break;
+                }
+              }
+              if (expect == until && (rate == 0.0 || onset <= until)) {
+                expect = kNoCycle;  // the wire is silent for good
+              }
+              EXPECT_EQ(inj.next_noise(w, from, until), expect)
+                  << "wire " << w << " from " << from << " until " << until;
+              if (expect != kNoCycle && expect != until) ++fired;
+              if (onset <= from) ++after_onset;
+            }
+          }
+        }
+        if (rate > 0.0) {
+          EXPECT_GT(fired, 0u);
+        }
+        if (stuck) {
+          EXPECT_GT(after_onset, 0u);
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ spec parsing
@@ -423,6 +487,244 @@ TEST_F(GuardedUnitFixture, AllWiresStuckDemotesTheGlock) {
   const auto& s = injector_->stats();
   EXPECT_EQ(s.injected_total(), s.detected + s.tolerated);
 }
+
+// --------------------------------------- recorded guarded-unit digests
+//
+// A guarded unit ticks only its live channels and the G-line system
+// sleeps to the units' next deadline; neither may move a grant, a frame
+// or a ledger entry by a cycle. These cases pin a digest of every grant
+// (cycle, core), the G-line counters and the reconciled fault ledger,
+// recorded from the tick-every-channel units, for the flat (32 cores)
+// and hierarchical (64 cores, group 6) trees under four fault plans —
+// hand-ticked every cycle, registered with the event-driven engine, and
+// rewound to a mid-run checkpoint and replayed.
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+void fold(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 1099511628211ull;
+  }
+}
+
+/// Cores contending for two GLocks (core % 2): each thinks, requests,
+/// holds the lock a few cycles once its request register clears, then
+/// releases, for kRounds rounds. Plain values throughout, so a rewind
+/// restores it by copying.
+struct Contenders {
+  static constexpr std::uint32_t kRounds = 12;
+  enum Phase : std::uint8_t { kThink, kWait, kHold, kRelease, kDone };
+  struct Core {
+    CoreId id = 0;
+    Phase phase = kThink;
+    Cycle until = 0;
+    std::uint32_t rounds = 0;
+  };
+  std::vector<Core> cores;
+  std::uint64_t digest = kFnvBasis;
+
+  /// One cycle; returns true when it wrote a register.
+  bool tick(Cycle now, std::vector<core::LockRegisters>& regs) {
+    bool wrote = false;
+    for (Core& c : cores) {
+      auto& r = regs[c.id];
+      const GlockId g = c.id % 2;
+      switch (c.phase) {
+        case kThink:
+          if (now < c.until) break;
+          r.req[g] = true;
+          c.phase = kWait;
+          wrote = true;
+          break;
+        case kWait:
+          if (r.req[g]) break;
+          fold(digest, now);
+          fold(digest, c.id);
+          c.phase = kHold;
+          c.until = now + 2 + c.id % 5;
+          break;
+        case kHold:
+          if (now < c.until) break;
+          r.rel[g] = true;
+          c.phase = kRelease;
+          wrote = true;
+          break;
+        case kRelease:
+          if (r.rel[g]) break;
+          c.phase = ++c.rounds == kRounds ? kDone : kThink;
+          c.until = now + 3 + (c.id * 7 + c.rounds) % 13;
+          break;
+        case kDone:
+          break;
+      }
+    }
+    return wrote;
+  }
+  bool done() const {
+    for (const Core& c : cores) {
+      if (c.phase != kDone) return false;
+    }
+    return true;
+  }
+};
+
+/// Engine slot for the contenders; wakes the G-line system on a register
+/// write, as the cores' awaiters do.
+class ContenderSlot : public sim::Component {
+ public:
+  ContenderSlot(Contenders& c, std::vector<core::LockRegisters>& regs,
+                sim::Component& glines)
+      : c_(c), regs_(regs), glines_(glines) {}
+  void tick(Cycle now) override {
+    if (c_.tick(now, regs_)) glines_.wake();
+  }
+
+ private:
+  Contenders& c_;
+  std::vector<core::LockRegisters>& regs_;
+  sim::Component& glines_;
+};
+
+struct DigestCase {
+  const char* name;
+  bool hierarchical;
+  const char* faults;
+  std::uint64_t digest;
+};
+void PrintTo(const DigestCase& c, std::ostream* os) { *os << c.name; }
+
+class GuardedDigest : public ::testing::TestWithParam<DigestCase> {
+ protected:
+  static constexpr Cycle kLimit = 400000;
+  static constexpr Cycle kRewindAt = 700;
+
+  void SetUp() override {
+    cfg_.num_cores = GetParam().hierarchical ? 64 : 32;
+    cfg_.gline.hierarchical = GetParam().hierarchical;
+    cfg_.gline.num_glocks = 2;
+    cfg_.fault = fault::parse_fault_spec(GetParam().faults);
+    regs_.assign(cfg_.num_cores, core::LockRegisters(2));
+    for (auto& r : regs_) ptrs_.push_back(&r);
+    sys_ = std::make_unique<gline::GlineSystem>(cfg_, ptrs_);
+    for (CoreId c = 0; c < cfg_.num_cores; c += 3) {
+      drv_.cores.push_back({c, Contenders::kThink, c % 11, 0});
+    }
+  }
+
+  /// Grants so far, then the G-line counters and the closed ledger.
+  std::uint64_t finish(Cycle end) {
+    std::uint64_t h = drv_.digest;
+    fold(h, end);
+    const auto g = sys_->total_stats();
+    for (auto v : {g.signals, g.local_flags, g.acquires_granted, g.releases,
+                   g.secondary_passes}) {
+      fold(h, v);
+    }
+    const auto f = sys_->finalize_fault_stats();
+    for (auto v : f.injected) fold(h, v);
+    for (auto v : {f.detected, f.tolerated, f.retransmissions,
+                   f.watchdog_timeouts, f.spurious_retransmissions,
+                   f.rx_discards, f.duplicate_frames, f.link_failures,
+                   f.fallback_demotions, f.detection_latency_sum,
+                   f.detection_count}) {
+      fold(h, v);
+    }
+    demotions_ = f.fallback_demotions;
+    return h;
+  }
+
+  struct Snapshot {
+    std::vector<std::uint8_t> bytes;
+    Contenders drv;
+    std::vector<core::LockRegisters> regs;
+  };
+  Snapshot snapshot(sim::Engine* engine) {
+    ckpt::ArchiveWriter w;
+    w.begin_section(1);
+    if (engine != nullptr) engine->save(w);
+    sys_->save(w);
+    w.end_section();
+    return {w.buffer(), drv_, regs_};
+  }
+  void restore(const Snapshot& s, sim::Engine* engine) {
+    ckpt::ArchiveReader r(s.bytes);
+    ASSERT_TRUE(r.next_section());
+    if (engine != nullptr) engine->load(r);
+    sys_->load(r);
+    drv_ = s.drv;
+    for (std::size_t c = 0; c < regs_.size(); ++c) regs_[c] = s.regs[c];
+  }
+
+  Cycle run_by_hand(Cycle from) {
+    Cycle now = from;
+    for (; !drv_.done() && now < kLimit; ++now) {
+      drv_.tick(now, regs_);
+      sys_->tick(now);
+    }
+    return now;
+  }
+
+  CmpConfig cfg_;
+  std::vector<core::LockRegisters> regs_;
+  std::vector<core::LockRegisters*> ptrs_;
+  std::unique_ptr<gline::GlineSystem> sys_;
+  Contenders drv_;
+  std::uint64_t demotions_ = 0;
+};
+
+TEST_P(GuardedDigest, HandTicked) {
+  Cycle now = 0;
+  for (; now < kRewindAt; ++now) {
+    drv_.tick(now, regs_);
+    sys_->tick(now);
+  }
+  const Snapshot snap = snapshot(nullptr);
+  const std::uint64_t straight = finish(run_by_hand(now));
+  EXPECT_EQ(straight, GetParam().digest);
+  if (std::string(GetParam().name).find("stuck") != std::string::npos) {
+    EXPECT_GT(demotions_, 0u) << "the plan must demote a GLock";
+  }
+  restore(snap, nullptr);
+  EXPECT_EQ(finish(run_by_hand(kRewindAt)), straight) << "after rewind";
+}
+
+TEST_P(GuardedDigest, EngineRegistered) {
+  sim::Engine engine;
+  ContenderSlot slot(drv_, regs_, *sys_);
+  engine.add(slot, "contenders");
+  engine.add(*sys_, "glines");
+  const auto done = [this] { return drv_.done(); };
+  engine.run_until_or_pause(done, kLimit, kRewindAt);
+  ASSERT_EQ(engine.now(), kRewindAt);
+  const Snapshot snap = snapshot(&engine);
+  const std::uint64_t straight = finish(engine.run_until(done, kLimit));
+  EXPECT_EQ(straight, GetParam().digest);
+  restore(snap, &engine);
+  EXPECT_EQ(finish(engine.run_until(done, kLimit)), straight)
+      << "after rewind";
+}
+
+constexpr const char* kArq = "drop=0.02,garble=0.02,delay=0.02,seed=3";
+constexpr const char* kNoise = "noise=0.005,seed=5";
+constexpr const char* kStuck =
+    "stuck=0.1,stuck_horizon=5000,retries=2,seed=7";
+constexpr const char* kAll =
+    "drop=0.01,garble=0.01,delay=0.01,noise=0.002,stuck=0.01,"
+    "stuck_horizon=4000,seed=9";
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, GuardedDigest,
+    ::testing::Values(
+        DigestCase{"flat_arq", false, kArq, 11704325896936499983ull},
+        DigestCase{"flat_noise", false, kNoise, 12920929779378347135ull},
+        DigestCase{"flat_stuck", false, kStuck, 6306379611653255175ull},
+        DigestCase{"flat_all", false, kAll, 8838264072305052514ull},
+        DigestCase{"hier_arq", true, kArq, 2702448669682429387ull},
+        DigestCase{"hier_noise", true, kNoise, 17992213573245625870ull},
+        DigestCase{"hier_stuck", true, kStuck, 12219890195078054157ull},
+        DigestCase{"hier_all", true, kAll, 2175056162628721364ull}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // -------------------------------------------- hang diagnostic (#1)
 
