@@ -81,9 +81,8 @@ int main(int argc, char** argv) {
 
   perf::SimPerf serial_agg, event_agg;
   bool identical = true;
-  std::printf("%-7s %-5s %10s %10s %8s %6s %8s %9s  %s\n", "bench", "lock",
-              "serial_s", "event_s", "speedup", "xhit%", "poolhw",
-              "reuse%", "agree");
+  std::printf("%-7s %-5s %10s %10s %8s %8s %9s  %s\n", "bench", "lock",
+              "serial_s", "event_s", "speedup", "poolhw", "reuse%", "agree");
   for (const auto& entry : reg) {
     for (const auto hc : kinds) {
       const auto s =
@@ -100,15 +99,13 @@ int main(int argc, char** argv) {
               ? 100.0 * static_cast<double>(m.pool_reuses) /
                     static_cast<double>(m.pool_acquires)
               : 0.0;
-      std::printf("%-7s %-5s %10.3f %10.3f %7.2fx %5.1f%% %8llu %8.1f%%  "
-                  "%s\n",
+      std::printf("%-7s %-5s %10.3f %10.3f %7.2fx %8llu %8.1f%%  %s\n",
                   entry.name.c_str(),
                   hc == locks::LockKind::kMcs ? "MCS" : "GL",
                   s.perf.wall_seconds, e.perf.wall_seconds,
                   s.perf.wall_seconds /
                       (e.perf.wall_seconds > 0 ? e.perf.wall_seconds
                                                : 1e-9),
-                  100.0 * m.express_hit_rate(),
                   static_cast<unsigned long long>(m.pool_high_water),
                   reuse_pct, agree ? "yes" : "NO — RESULTS DIVERGED");
     }
@@ -131,19 +128,16 @@ int main(int argc, char** argv) {
   json.precision(6);
   json << "{\n";
   json << "  \"bench\": \"sim_throughput\",\n";
-  // v3: SimPerf payloads carry aggregated slot totals with the ten
-  // hottest slots instead of the full per-slot array.
-  json << "  \"format_version\": 3,\n";
+  // v4: no top-level express hit rate (the mesh has no express routes;
+  // the SimPerf express counters read 0). v3: SimPerf payloads carry
+  // aggregated slot totals with the ten hottest slots instead of the full
+  // per-slot array.
+  json << "  \"format_version\": 4,\n";
   json << "  \"cores\": " << cores << ",\n";
   json << "  \"scale\": " << scale << ",\n";
   json << "  \"grid_points\": " << reg.size() * 2 << ",\n";
   json << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
   json << "  \"speedup\": " << speedup << ",\n";
-  // Top-level copy of the event kernel's express hit rate: placed before
-  // the nested SimPerf payloads so scripts/bench_throughput.sh's
-  // first-match json_field extraction reads this one.
-  json << "  \"express_hit_rate\": " << event_agg.msg.express_hit_rate()
-       << ",\n";
   json << "  \"serial\": ";
   serial_agg.write_json(json, 2);
   json << ",\n  \"event\": ";

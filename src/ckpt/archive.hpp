@@ -23,9 +23,11 @@ namespace glocks::ckpt {
 
 /// Current archive format version. Bump on any incompatible layout
 /// change; readers reject anything newer than this.
-inline constexpr std::uint32_t kFormatVersion = 7;
+inline constexpr std::uint32_t kFormatVersion = 8;
 
-/// Oldest version this build still reads. v7 dropped the intra-run
+/// Oldest version this build still reads. v8 dropped the mesh's analytic
+/// fast-forward path: its flag left the run spec, and its counters and
+/// virtual packets left the mesh section. v7 dropped the intra-run
 /// parallel execution fields (host thread count, lookahead window, tile
 /// ownership policy) from the run spec and the active tile ownership map
 /// from the meta section. v6 added spin parking: the L1 sections carry
@@ -33,7 +35,7 @@ inline constexpr std::uint32_t kFormatVersion = 7;
 /// parked flag and the spun-on address. Older archives would parse into
 /// garbage, so they get a clean up-front rejection instead of a confusing
 /// mid-parse kTruncated/kBadSection failure.
-inline constexpr std::uint32_t kMinFormatVersion = 7;
+inline constexpr std::uint32_t kMinFormatVersion = 8;
 
 /// 8-byte file magic.
 inline constexpr char kMagic[8] = {'G', 'L', 'K', 'C', 'K', 'P', 'T', '\n'};

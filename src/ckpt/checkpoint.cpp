@@ -50,7 +50,6 @@ void save_run_spec(ArchiveWriter& a, const RunSpec& spec) {
   a.u32(c.noc.input_queue_depth);
   a.u32(c.noc.control_msg_bytes);
   a.u32(c.noc.data_msg_bytes);
-  a.b(c.noc.express_routes);
   a.u32(c.gline.num_glocks);
   a.u32(c.gline.num_gbarriers);
   a.u64(c.gline.signal_latency);
@@ -138,7 +137,6 @@ RunSpec load_run_spec(ArchiveReader& a) {
   c.noc.input_queue_depth = a.u32();
   c.noc.control_msg_bytes = a.u32();
   c.noc.data_msg_bytes = a.u32();
-  c.noc.express_routes = a.b();
   c.gline.num_glocks = a.u32();
   c.gline.num_gbarriers = a.u32();
   c.gline.signal_latency = a.u64();

@@ -54,12 +54,6 @@ struct NocConfig {
   std::uint32_t control_msg_bytes = 8;
   /// Size in bytes of a message carrying a full cache line.
   std::uint32_t data_msg_bytes = 8 + kLineBytes;
-  /// Express fast-forwarding: packets crossing an idle fabric are
-  /// delivered analytically (one wake at the computed arrival) instead of
-  /// waking every router on the route. Pure simulator optimisation — all
-  /// timings, statistics, and outputs are bit-identical either way; turn
-  /// it off to cross-check (tests/noc_test.cpp does, per send pattern).
-  bool express_routes = true;
 };
 
 /// Dedicated G-line lock network parameters (paper Section III).

@@ -57,15 +57,11 @@ RunResult run_workload(Workload& workload, const RunConfig& cfg,
   r.perf = perf::capture(sys.engine(), timer.seconds());
   {
     const auto& ps = sys.hierarchy().msg_pool_stats();
-    const auto& xp = sys.mesh().express_perf();
     r.perf.msg.pool_heap_allocs = ps.heap_allocs;
     r.perf.msg.pool_heap_bytes = ps.heap_bytes;
     r.perf.msg.pool_acquires = ps.acquires;
     r.perf.msg.pool_reuses = ps.reuses;
     r.perf.msg.pool_high_water = ps.high_water;
-    r.perf.msg.express_hits = xp.hits;
-    r.perf.msg.express_declined = xp.declined;
-    r.perf.msg.express_materialized = xp.materialized;
     r.perf.msg.router_visits = sys.mesh().router_visits();
     r.perf.msg.router_busy_visits = sys.mesh().router_busy_visits();
     for (CoreId c = 0; c < sys.num_cores(); ++c) {

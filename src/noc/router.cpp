@@ -39,18 +39,6 @@ void Router::accept(Dir in, Packet&& p, Cycle ready) {
   push(s, Timed{ready, std::move(p)});
 }
 
-void Router::place(Dir in, MsgClass cls, Packet&& p, Cycle ready) {
-  const std::size_t s = slot(in, cls);
-  GLOCKS_CHECK(in_[s].size() < timing_.input_queue_depth,
-               "router (" << x_ << "," << y_ << ") port " << idx(in)
-                          << " overflow on express materialization");
-  push(s, Timed{ready, std::move(p)});
-}
-
-void Router::place_local(Packet&& p, Cycle ready) {
-  push(kSlots, Timed{ready, std::move(p)});
-}
-
 const Packet& Router::peek_head(Dir in, MsgClass cls) const {
   const auto& q = in_[slot(in, cls)];
   GLOCKS_CHECK(!q.empty(), "router (" << x_ << "," << y_

@@ -166,12 +166,6 @@ class Router {
   /// kNoCycle when the router has been idle since its last tick.
   Cycle next_ready() const { return next_ready_; }
 
-  /// Credits one busy-tick's round-robin rotation without ticking. Used
-  /// by the mesh's express path: a virtual flight's switch traversal (or
-  /// final local delivery) at this router is exactly one cycle on which
-  /// the hop-by-hop scan would have seen a ready head.
-  void credit_busy_tick() { rr_ = (rr_ + 1) % kSlots; }
-
   /// True when every queue (inputs and pending local deliveries) is empty.
   bool idle() const { return occupancy_ == 0; }
   /// Packets resident in this router (all input FIFOs + local_out_).
@@ -179,15 +173,6 @@ class Router {
 
   /// Decides the output direction for a packet destined to tile coords.
   Dir route(std::uint32_t dst_x, std::uint32_t dst_y) const;
-
-  /// Express materialization (Mesh only): places a packet directly into
-  /// an input FIFO with an explicit ready cycle — exactly the entry the
-  /// hop-by-hop path would hold at this point. Records no statistics;
-  /// the Mesh credits the hops already "performed" itself. Capacity is
-  /// checked: the express reservation ledger guarantees room.
-  void place(Dir in, MsgClass cls, Packet&& p, Cycle ready);
-  /// Same, for the local ejection queue (a flight past its last switch).
-  void place_local(Packet&& p, Cycle ready);
 
   /// Fault-domain access to a guarded queue head: the guard inspects the
   /// in-flight frame (peek) and removes it on successful link delivery

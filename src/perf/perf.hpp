@@ -30,24 +30,17 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Message hot-path counters: the coherence-message pool, the mesh's
-/// express fast-forward path and its router worklist. Like the engine
-/// block, strictly observational — the counters never feed back into
-/// simulation state.
+/// Message hot-path counters: the coherence-message pool and the mesh's
+/// router worklist. Like the engine block, strictly observational — the
+/// counters never feed back into simulation state.
 struct MsgPathPerf {
   std::uint64_t pool_heap_allocs = 0;  ///< slab mallocs (warmup only)
   std::uint64_t pool_heap_bytes = 0;   ///< bytes of slab backing store
   std::uint64_t pool_acquires = 0;     ///< messages handed out in total
   std::uint64_t pool_reuses = 0;       ///< acquires served from the free list
   std::uint64_t pool_high_water = 0;   ///< peak simultaneously-live messages
-  std::uint64_t express_hits = 0;         ///< packets delivered analytically
-  std::uint64_t express_declined = 0;     ///< fabric busy / conflict at send
-  std::uint64_t express_materialized = 0; ///< flights demoted mid-flight
   std::uint64_t router_visits = 0;  ///< router ticks the mesh performed
   std::uint64_t router_busy_visits = 0;  ///< ... that found a ready head
-
-  /// Fraction of express-eligible sends that completed analytically.
-  double express_hit_rate() const;
 };
 
 /// Spin-parking counters, summed over every L1 (see mem::SpinStats):

@@ -16,13 +16,6 @@ void Component::wake() {
   if (engine_ != nullptr) engine_->schedule(slot_, engine_->now());
 }
 
-Cycle Component::next_tick_cycle() const {
-  GLOCKS_CHECK(engine_ != nullptr,
-               "next_tick_cycle() on an unregistered component");
-  const Engine& e = *engine_;
-  return (e.in_scan_ && slot_ <= e.scan_pos_) ? e.now_ + 1 : e.now_;
-}
-
 void Component::sleep() {
   if (engine_ == nullptr || engine_->mode_ != EngineMode::kEventDriven) {
     return;

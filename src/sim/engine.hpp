@@ -86,16 +86,6 @@ class Component {
   void wake();
 
  protected:
-  /// True once Engine::add has claimed this component.
-  bool registered() const { return engine_ != nullptr; }
-  /// The cycle at which this component would next observe new state if
-  /// woken right now: the engine's current cycle while this slot's tick
-  /// has not run yet this cycle, else the next cycle. Mirrors the wake
-  /// bump rule (the serial N -> N+1 visibility convention), and is
-  /// valid in both engine modes — step() maintains the scan cursor
-  /// either way. The mesh uses this to anchor express-route timing to
-  /// the exact cycle a hop-by-hop packet would have been injected.
-  Cycle next_tick_cycle() const;
   /// Leaves the active set; only call from inside this component's own
   /// tick(), and only when every future cycle with work for it is covered
   /// by a wake (already scheduled, or guaranteed to be delivered by a

@@ -6,19 +6,30 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/check.hpp"
-
 namespace glocks::tools {
+
+/// A mistake on the command line. The tools print its message alone and
+/// exit 2; a SimError (a simulator fault) exits 1.
+class UsageError : public std::runtime_error {
+ public:
+  explicit UsageError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// Throws UsageError(`msg`) unless `ok`.
+inline void usage_check(bool ok, const std::string& msg) {
+  if (!ok) throw UsageError(msg);
+}
 
 class Args {
  public:
   /// Parses `--flag value` and `--flag` (boolean) style arguments. Every
   /// flag must be declared: `bool_flags` take no value, `value_flags`
   /// take exactly one. An undeclared flag, a missing value or a
-  /// positional argument throws, naming the offending argument.
+  /// positional argument throws UsageError, naming the argument.
   Args(int argc, const char* const* argv,
        const std::vector<std::string>& bool_flags,
        const std::vector<std::string>& value_flags) {
@@ -28,14 +39,15 @@ class Args {
     };
     for (int i = 1; i < argc; ++i) {
       std::string a = argv[i];
-      GLOCKS_CHECK(a.rfind("--", 0) == 0, "unexpected argument: " << a);
+      usage_check(a.rfind("--", 0) == 0, "unexpected argument: " + a);
       a = a.substr(2);
       if (declared(bool_flags, a)) {
         values_[a] = "1";
         continue;
       }
-      GLOCKS_CHECK(declared(value_flags, a), "unknown flag --" << a);
-      GLOCKS_CHECK(i + 1 < argc, "flag --" << a << " needs a value");
+      usage_check(declared(value_flags, a),
+                  "unknown flag --" + a + " (try --help)");
+      usage_check(i + 1 < argc, "flag --" + a + " needs a value");
       values_[a] = argv[++i];
     }
   }
@@ -62,8 +74,8 @@ class Args {
     char* end = nullptr;
     errno = 0;
     const double v = std::strtod(text.c_str(), &end);
-    GLOCKS_CHECK(!text.empty() && *end == '\0' && errno == 0,
-                 "--" << name << " expects a number, got '" << text << "'");
+    usage_check(!text.empty() && *end == '\0' && errno == 0,
+                "--" + name + " expects a number, got '" + text + "'");
     return v;
   }
 
@@ -77,9 +89,9 @@ class Args {
     errno = 0;
     const std::uint64_t v =
         digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
-    GLOCKS_CHECK(digits && errno == 0,
-                 "--" << flag << " expects a non-negative integer, got '"
-                      << text << "'");
+    usage_check(digits && errno == 0,
+                "--" + flag + " expects a non-negative integer, got '" +
+                    text + "'");
     return v;
   }
 

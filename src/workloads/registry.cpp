@@ -70,14 +70,20 @@ const std::vector<RegistryEntry>& registry() {
   return entries;
 }
 
+const RegistryEntry* find_workload(const std::string& name) {
+  for (const auto& e : registry()) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
+}
+
 std::unique_ptr<harness::Workload> make_workload(const std::string& name,
                                                  double scale) {
   GLOCKS_CHECK(scale > 0.0 && scale <= 1.0,
                "workload scale must be in (0, 1], got " << scale);
-  for (const auto& e : registry()) {
-    if (e.name == name) return e.make(scale);
-  }
-  GLOCKS_UNREACHABLE("unknown workload: " << name);
+  const RegistryEntry* e = find_workload(name);
+  GLOCKS_CHECK(e != nullptr, "unknown workload: " << name);
+  return e->make(scale);
 }
 
 std::vector<std::string> microbenchmark_names() {

@@ -26,6 +26,9 @@ struct RegistryEntry {
 /// SCTR, MCTR, DBLL, PRCO, ACTR, RAYTR, OCEAN, QSORT.
 const std::vector<RegistryEntry>& registry();
 
+/// The registry entry named `name`, or null when there is none.
+const RegistryEntry* find_workload(const std::string& name);
+
 /// Builds one benchmark by name; throws SimError for unknown names.
 std::unique_ptr<harness::Workload> make_workload(const std::string& name,
                                                  double scale = 1.0);

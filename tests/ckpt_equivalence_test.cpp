@@ -236,8 +236,9 @@ TEST_F(CkptRejection, NewerFormatVersionIsBadVersion) {
 
 // Archives written before the current format must be refused up front,
 // naming the version: v5 predates the spin-parking fields of the core and
-// L1 sections, and v6 still carries the execution-strategy fields v7
-// dropped from the run spec and the meta section.
+// L1 sections, v6 still carries the execution-strategy fields v7 dropped
+// from the run spec and the meta section, and v7 the mesh fast-forward
+// flag and state v8 dropped from the run spec and the mesh section.
 class CkptOldVersion : public CkptRejection,
                        public ::testing::WithParamInterface<std::uint32_t> {};
 
@@ -263,7 +264,8 @@ TEST_P(CkptOldVersion, ArchiveIsBadVersion) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PreV7, CkptOldVersion, ::testing::Values(5u, 6u),
+INSTANTIATE_TEST_SUITE_P(PreV8, CkptOldVersion,
+                         ::testing::Values(5u, 6u, 7u),
                          [](const auto& info) {
                            return "v" + std::to_string(info.param);
                          });

@@ -123,27 +123,30 @@ TEST(Archive, OlderVersionRejectedUpFront) {
   // v3 widened the run spec and several state sections without
   // per-field gates, so an archive from an older build must be refused
   // cleanly at the header — not fail mid-parse with kTruncated or
-  // kBadSection after consuming unrelated bytes as mesh config.
-  static_assert(ckpt::kMinFormatVersion > 1,
-                "test forges a version below the supported floor");
+  // kBadSection after consuming unrelated bytes as mesh config. v7
+  // archives still carry the mesh fast-forward flag and state v8 dropped.
+  static_assert(ckpt::kMinFormatVersion > 7,
+                "v7 archives must be refused as an older format");
   ArchiveWriter w;
   w.begin_section(1);
   w.u8(1);
   w.end_section();
-  std::vector<std::uint8_t> bytes = w.buffer();
-  const std::uint32_t older = ckpt::kMinFormatVersion - 1;
-  for (int i = 0; i < 4; ++i) {
-    bytes[8 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(older >> (8 * i));
-  }
-  try {
-    ArchiveReader r(bytes);
-    FAIL() << "older-version archive unexpectedly accepted";
-  } catch (const CkptError& e) {
-    EXPECT_EQ(e.code(), CkptError::Code::kBadVersion);
-    EXPECT_NE(std::string(e.what()).find("older incompatible build"),
-              std::string::npos)
-        << e.what();
+  for (const std::uint32_t older : {ckpt::kMinFormatVersion - 1, 7u}) {
+    SCOPED_TRACE(::testing::Message() << "version " << older);
+    std::vector<std::uint8_t> bytes = w.buffer();
+    for (int i = 0; i < 4; ++i) {
+      bytes[8 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(older >> (8 * i));
+    }
+    try {
+      ArchiveReader r(bytes);
+      ADD_FAILURE() << "older-version archive unexpectedly accepted";
+    } catch (const CkptError& e) {
+      EXPECT_EQ(e.code(), CkptError::Code::kBadVersion);
+      EXPECT_NE(std::string(e.what()).find("older incompatible build"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

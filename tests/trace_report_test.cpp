@@ -115,12 +115,12 @@ TEST(Args, ParsesFlagsAndValues) {
   EXPECT_EQ(args.get("absent", "dflt"), "dflt");
 }
 
-/// The SimError message `fn` throws, or "" when it does not throw.
+/// The UsageError message `fn` throws, or "" when it does not throw.
 template <typename Fn>
 std::string error_of(Fn&& fn) {
   try {
     fn();
-  } catch (const SimError& e) {
+  } catch (const tools::UsageError& e) {
     return e.what();
   }
   return "";
@@ -128,9 +128,10 @@ std::string error_of(Fn&& fn) {
 
 TEST(Args, RejectsMalformedInput) {
   const char* bad1[] = {"prog", "stray"};
-  EXPECT_THROW(tools::Args(2, bad1, {}, {}), SimError);
+  EXPECT_THROW(tools::Args(2, bad1, {}, {}), tools::UsageError);
   const char* bad2[] = {"prog", "--needs-value"};
-  EXPECT_THROW(tools::Args(2, bad2, {}, {"needs-value"}), SimError);
+  EXPECT_THROW(tools::Args(2, bad2, {}, {"needs-value"}),
+               tools::UsageError);
 
   // An undeclared flag is an error naming it, never silently ignored:
   // a misspelt --lock would otherwise run the default lock.
