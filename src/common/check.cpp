@@ -8,7 +8,7 @@ void check_failed(const char* expr, const char* file, int line,
   oss << "simulator invariant violated: " << expr << " at " << file << ":"
       << line;
   if (!msg.empty()) oss << " — " << msg;
-  throw SimError(oss.str());
+  throw SimError(oss.str(), msg.empty() ? expr : msg);
 }
 
 }  // namespace glocks::detail

@@ -15,7 +15,16 @@ namespace glocks {
 /// Thrown when a simulator invariant is violated.
 class SimError : public std::runtime_error {
  public:
-  explicit SimError(const std::string& what) : std::runtime_error(what) {}
+  explicit SimError(const std::string& what)
+      : std::runtime_error(what), reason_(what) {}
+  SimError(const std::string& what, const std::string& reason)
+      : std::runtime_error(what), reason_(reason) {}
+  /// The failed check's own message, without the "invariant violated"
+  /// preamble and source location what() carries.
+  const std::string& reason() const { return reason_; }
+
+ private:
+  std::string reason_;
 };
 
 namespace detail {

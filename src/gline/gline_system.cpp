@@ -25,28 +25,28 @@ GlineSystem::GlineSystem(
           g, cfg.num_cores, group, hierarchical_, cfg.gline.signal_latency,
           cfg.fault, injector_.get(), health_.get(), regs));
     }
-  } else if (hierarchical_) {
-    // Section V scaling path 2: an arbitrary-depth token tree whose
-    // segments never exceed the per-wire transmitter budget.
-    for (GlockId g = 0; g < cfg.gline.num_glocks; ++g) {
-      hier_units_.push_back(std::make_unique<HierGlockUnit>(
-          g, cfg.num_cores, cfg.gline.signal_latency,
-          cfg.gline.max_transmitters_per_line, regs));
-    }
   } else {
     // Baseline G-line technology supports up to seven tiles per dimension
-    // (six transmitters + one receiver per line, Section III-F). Larger
-    // meshes require the longer-latency G-line variant (scaling path 1)
-    // or the hierarchical network (path 2, gline.hierarchical).
-    GLOCKS_CHECK(
-        width <= cfg.gline.max_transmitters_per_line + 1 ||
-            cfg.gline.signal_latency > 1,
-        "mesh width " << width << " exceeds the single-cycle G-line "
-                      << "reach; raise gline.signal_latency or set "
-                      << "gline.hierarchical");
+    // (six transmitters + one receiver per line, Section III-F). A wider
+    // mesh takes the longer-latency G-line variant (Section V scaling
+    // path 1, gline.signal_latency > 1) or, at single-cycle latency, the
+    // hierarchical network (path 2), which is then built regardless of
+    // gline.hierarchical.
+    if (cfg.gline.signal_latency == 1 &&
+        width > cfg.gline.max_transmitters_per_line + 1) {
+      hierarchical_ = true;
+    }
     for (GlockId g = 0; g < cfg.gline.num_glocks; ++g) {
-      units_.push_back(std::make_unique<GlockUnit>(
-          g, cfg.num_cores, width, cfg.gline.signal_latency, regs));
+      if (hierarchical_) {
+        // An arbitrary-depth token tree whose segments never exceed the
+        // per-wire transmitter budget.
+        hier_units_.push_back(std::make_unique<HierGlockUnit>(
+            g, cfg.num_cores, cfg.gline.signal_latency,
+            cfg.gline.max_transmitters_per_line, regs));
+      } else {
+        units_.push_back(std::make_unique<GlockUnit>(
+            g, cfg.num_cores, width, cfg.gline.signal_latency, regs));
+      }
     }
   }
   if (!barrier_regs.empty()) {

@@ -11,21 +11,6 @@ double SimPerf::msim_cycles_per_sec() const {
   return static_cast<double>(sim_cycles) / wall_seconds / 1e6;
 }
 
-double SimPerf::skip_fraction() const {
-  // The serial loop would tick every slot on every cycle, including the
-  // cycles the event kernel jumped over.
-  const std::uint64_t per_cycle =
-      engine.cycles_stepped == 0
-          ? 0
-          : (engine.ticks_executed + engine.ticks_skipped) /
-                engine.cycles_stepped;
-  const std::uint64_t obligation =
-      per_cycle * (engine.cycles_stepped + engine.cycles_skipped);
-  if (obligation == 0) return 0.0;
-  return 1.0 - static_cast<double>(engine.ticks_executed) /
-                   static_cast<double>(obligation);
-}
-
 void SimPerf::add(const SimPerf& other) {
   wall_seconds += other.wall_seconds;
   sim_cycles += other.sim_cycles;
@@ -86,10 +71,9 @@ std::string SimPerf::summary() const {
   return oss.str();
 }
 
-void SimPerf::write_json(std::ostream& out, int indent) const {
-  const std::string pad(indent, ' ');
-  const std::string in1 = pad + "  ";
-  const std::string in2 = pad + "    ";
+void SimPerf::write_json(std::ostream& out) const {
+  const std::string in1 = "  ";
+  const std::string in2 = "    ";
   out.precision(6);
   out << "{\n";
   out << in1 << "\"wall_seconds\": " << wall_seconds << ",\n";
@@ -154,7 +138,7 @@ void SimPerf::write_json(std::ostream& out, int indent) const {
         << ", \"wakes\": " << hottest[i].wakes << "}";
   }
   out << (hottest.empty() ? "]\n" : "\n" + in1 + "]\n");
-  out << pad << "}";
+  out << "}";
 }
 
 SimPerf capture(const sim::Engine& engine, double wall_seconds) {

@@ -1,6 +1,6 @@
 // Simulator self-measurement: wall-clock timing plus the kernel's
 // tick/skip/wake counters, rolled up into the `--perf` summary and the
-// throughput benchmark's JSON. Strictly an observer — nothing here feeds
+// JSON perfbench reads. Strictly an observer — nothing here feeds
 // back into simulation state, so enabling it cannot change results.
 #pragma once
 
@@ -67,16 +67,14 @@ struct SimPerf {
 
   /// Simulated megacycles per wall-clock second (0 when unmeasured).
   double msim_cycles_per_sec() const;
-  /// Fraction of component-cycle slots the kernel never had to tick.
-  double skip_fraction() const;
 
   /// Folds another measurement in (counters sum; slots merge by name).
   void add(const SimPerf& other);
 
   /// Four-line human summary for `--perf`.
   std::string summary() const;
-  /// JSON object (BENCH_sim_throughput.json payload).
-  void write_json(std::ostream& out, int indent = 0) const;
+  /// JSON object (the per-run `perf` payload perfbench reads).
+  void write_json(std::ostream& out) const;
 };
 
 /// Snapshots an engine's counters after a run.

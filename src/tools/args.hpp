@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
+
 namespace glocks::tools {
 
 /// A mistake on the command line. The tools print its message alone and
@@ -22,6 +24,17 @@ class UsageError : public std::runtime_error {
 /// Throws UsageError(`msg`) unless `ok`.
 inline void usage_check(bool ok, const std::string& msg) {
   if (!ok) throw UsageError(msg);
+}
+
+/// Runs `fn`, a parse or validation of what the user asked for, and
+/// reports a SimError it throws as the UsageError it is.
+template <class Fn>
+auto as_usage(Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const SimError& e) {
+    throw UsageError(e.reason());
+  }
 }
 
 class Args {

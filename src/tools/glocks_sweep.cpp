@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ckpt/manifest.hpp"
+#include "common/config.hpp"
 #include "exec/job_pool.hpp"
 #include "exec/sweep.hpp"
 #include "fault/fault.hpp"
@@ -136,7 +137,14 @@ int main(int argc, char** argv) {
     tools::usage_check(spec.jobs >= 1, "--jobs must be >= 1");
 
     if (args.has("faults")) {
-      spec.fault = fault::parse_fault_spec(args.get("faults"));
+      spec.fault = tools::as_usage(
+          [&] { return fault::parse_fault_spec(args.get("faults")); });
+    }
+    for (const auto cores : spec.core_counts) {
+      CmpConfig cmp;
+      cmp.num_cores = cores;
+      cmp.fault = spec.fault;
+      tools::as_usage([&] { cmp.validate(); });
     }
 
     std::unique_ptr<ckpt::SweepManifest> manifest;

@@ -145,13 +145,15 @@ int main(int argc, char** argv) {
     cfg.seed = args.get_u64("seed", 1);
 
     if (args.has("faults")) {
-      cfg.cmp.fault = fault::parse_fault_spec(args.get("faults"));
+      cfg.cmp.fault = tools::as_usage(
+          [&] { return fault::parse_fault_spec(args.get("faults")); });
     }
     if (args.has("fault-seed")) {
       tools::usage_check(cfg.cmp.fault.any(),
                          "--fault-seed needs --faults to enable injection");
       cfg.cmp.fault.seed = args.get_u64("fault-seed", 0);
     }
+    tools::as_usage([&] { cfg.cmp.validate(); });
 
     const auto hc = locks::parse_lock_kind(args.get("lock", "glock"));
     const auto reg =

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Command-line mistakes are reported as such: `--help` prints the flag
-# list and exits 0; an unknown flag, an unknown workload or a missing
-# --workload prints "<tool>: <message>" (no invariant-violation text)
-# and exits 2.
+# list and exits 0; an unknown flag, an unknown workload, a missing
+# --workload, a machine CmpConfig::validate rejects or a malformed
+# --faults spec prints "<tool>: <message>" (no invariant-violation text)
+# and exits 2. A chip past the single-cycle G-line reach runs: it gets
+# the hierarchical G-line network without asking.
 #
 # Usage: tests/cli_usage_test.sh GLOCKSIM GLOCKS_SWEEP
 set -uo pipefail
@@ -51,10 +53,24 @@ expect 2 "" "^glocksim: --workload or --replay is required" -- \
   "$GLOCKSIM" --lock mcs
 expect 2 "" "^glocksim: --cores expects a non-negative integer" -- \
   "$GLOCKSIM" --workload SCTR --cores many
+expect 2 "" "^glocksim: need at least one core" -- \
+  "$GLOCKSIM" --workload SCTR --cores 0
+expect 2 "" "^glocksim: --faults: unknown G-line key 'bogus'" -- \
+  "$GLOCKSIM" --workload SCTR --faults bogus=1
+expect 2 "" "^glocksim: --faults: 'abc' is not a number" -- \
+  "$GLOCKSIM" --workload SCTR --faults drop=abc
+expect 0 "^workload SCTR" "" -- \
+  "$GLOCKSIM" --workload SCTR --lock mcs --cores 64 --scale 0.05
 expect 2 "" "^glocks-sweep: unknown flag --bogus" -- "$SWEEP" --bogus
 expect 2 "" "^glocks-sweep: unknown workload NOPE" -- \
   "$SWEEP" --workloads SCTR,NOPE
 expect 2 "" "^glocks-sweep: nothing to run" -- "$SWEEP" --locks mcs
+expect 2 "" "^glocks-sweep: need at least one core" -- \
+  "$SWEEP" --workloads SCTR --cores 32,0
+expect 2 "" "^glocks-sweep: --faults: unknown G-line key 'bogus'" -- \
+  "$SWEEP" --workloads SCTR --faults bogus=1
+expect 2 "" "^glocks-sweep: --faults: 'abc' is not a number" -- \
+  "$SWEEP" --workloads SCTR --faults drop=abc
 
 if [[ "$failures" != 0 ]]; then
   echo "$failures case(s) failed" >&2

@@ -357,17 +357,26 @@ harness::RunConfig mode_config(locks::LockKind lock) {
   return cfg;
 }
 
+/// What diff_modes observed besides the metric diff.
+struct ModeCounts {
+  std::uint64_t parks = 0;         ///< spinners the event run parked
+  std::uint64_t serial_ticks = 0;  ///< component ticks of each kernel
+  std::uint64_t event_ticks = 0;
+};
+
 /// Runs the workload under both kernels; returns diff_results of the two
-/// and stores how many spinners the event run parked in `parks`.
+/// and stores the event run's parks and both runs' tick totals in `counts`.
 std::string diff_modes(harness::Workload& serial_wl,
                        harness::Workload& event_wl, harness::RunConfig cfg,
-                       std::uint64_t& parks) {
+                       ModeCounts& counts) {
   cfg.cmp.engine_mode = EngineMode::kSerial;
   const auto serial = harness::run_workload(serial_wl, cfg);
   EXPECT_EQ(serial.perf.spin.parks, 0u) << "the serial kernel parked";
   cfg.cmp.engine_mode = EngineMode::kEventDriven;
   const auto event = harness::run_workload(event_wl, cfg);
-  parks = event.perf.spin.parks;
+  counts.parks = event.perf.spin.parks;
+  counts.serial_ticks = serial.perf.engine.ticks_executed;
+  counts.event_ticks = event.perf.engine.ticks_executed;
   return test::diff_results(serial, event);
 }
 
@@ -384,13 +393,20 @@ TEST_P(EveryWorkloadEventVsSerial, EventKernelIsBitIdenticalToSerial) {
   const double scale = lock == locks::LockKind::kGlock ? kGlockScale : kScale;
   auto serial_wl = entry.make(scale);
   auto event_wl = entry.make(scale);
-  std::uint64_t parks = 0;
+  ModeCounts counts;
   const std::string diff =
-      diff_modes(*serial_wl, *event_wl, mode_config(lock), parks);
+      diff_modes(*serial_wl, *event_wl, mode_config(lock), counts);
   EXPECT_EQ(diff, "") << entry.name << "/" << locks::to_string(lock) << ": "
                       << diff;
   // The comparison must exercise spin parking wherever software spins.
-  if (lock != locks::LockKind::kGlock) EXPECT_GT(parks, 0u);
+  if (lock != locks::LockKind::kGlock) EXPECT_GT(counts.parks, 0u);
+  // The event kernel's reason to exist, as a count rather than a
+  // stopwatch: it ticks at most a tenth of what the serial kernel ticks
+  // (the worst point, OCEAN under MCS, runs at 0.062). A kernel that
+  // quietly went back to ticking every slot fails here.
+  EXPECT_LE(counts.event_ticks * 10, counts.serial_ticks)
+      << entry.name << "/" << locks::to_string(lock) << ": event "
+      << counts.event_ticks << " ticks vs serial " << counts.serial_ticks;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -414,11 +430,11 @@ TEST(EventVsSerial, SoftwareBarriersAreBitIdentical) {
     p.total_iterations = 100;
     p.barrier = kind;
     workloads::AffinityCounter serial_wl(p), event_wl(p);
-    std::uint64_t parks = 0;
+    ModeCounts counts;
     const std::string diff = diff_modes(
-        serial_wl, event_wl, mode_config(locks::LockKind::kMcs), parks);
+        serial_wl, event_wl, mode_config(locks::LockKind::kMcs), counts);
     EXPECT_EQ(diff, "") << diff;
-    EXPECT_GT(parks, 0u);
+    EXPECT_GT(counts.parks, 0u);
   }
 }
 
@@ -430,10 +446,10 @@ TEST(EventVsSerial, FaultedMcsIsBitIdentical) {
   harness::RunConfig cfg = mode_config(locks::LockKind::kMcs);
   cfg.cmp.fault =
       fault::parse_fault_spec("drop=0.001,noise=0.0001,mesh:rate=0.0005");
-  std::uint64_t parks = 0;
-  const std::string diff = diff_modes(*serial_wl, *event_wl, cfg, parks);
+  ModeCounts counts;
+  const std::string diff = diff_modes(*serial_wl, *event_wl, cfg, counts);
   EXPECT_EQ(diff, "") << diff;
-  EXPECT_GT(parks, 0u);
+  EXPECT_GT(counts.parks, 0u);
 }
 
 // The G-line system sleeps to its guarded units' deadlines (frames

@@ -207,7 +207,7 @@ TEST(GlineSystem, ProvisionsConfiguredLocks) {
   EXPECT_EQ(sys.unit(1).holder(), std::optional<CoreId>(5));
 }
 
-TEST(GlineSystem, RejectsOverWideMeshAtUnitLatency) {
+TEST(GlineSystem, OverWideMeshAtUnitLatencyBuildsTheTree) {
   CmpConfig cfg;
   cfg.num_cores = 81;  // 9x9 > 7x7 single-cycle reach
   std::vector<glocks::core::LockRegisters> regs;
@@ -216,9 +216,9 @@ TEST(GlineSystem, RejectsOverWideMeshAtUnitLatency) {
   }
   std::vector<glocks::core::LockRegisters*> ptrs;
   for (auto& r : regs) ptrs.push_back(&r);
-  EXPECT_THROW(GlineSystem(cfg, ptrs), SimError);
-  cfg.gline.signal_latency = 2;  // the paper's scaling path
-  EXPECT_NO_THROW(GlineSystem(cfg, ptrs));
+  EXPECT_TRUE(GlineSystem(cfg, ptrs).hierarchical());  // scaling path 2
+  cfg.gline.signal_latency = 2;  // scaling path 1: longer wires, flat
+  EXPECT_FALSE(GlineSystem(cfg, ptrs).hierarchical());
 }
 
 TEST(CostModel, MatchesTable1Formulas) {

@@ -5,7 +5,9 @@
 
 #include "gline/hier_glock_unit.hpp"
 #include "harness/runner.hpp"
+#include "result_diff.hpp"
 #include "workloads/micro.hpp"
+#include "workloads/registry.hpp"
 
 namespace glocks {
 namespace {
@@ -102,15 +104,20 @@ TEST(HierGlock, EndToEndSctrOn256Cores) {
   EXPECT_GT(r.gline.acquires_granted, 0u);
 }
 
-TEST(HierGlock, FlatDesignStillRejectsOversizeChips) {
-  workloads::MicroParams p;
-  p.total_iterations = 64;
-  workloads::SingleCounter wl(p);
+TEST(HierGlock, SingleCycleLinesPastTheirReachBuildTheTree) {
+  // An 8x8 chip is one tile past the single-cycle reach: asking for the
+  // flat design there gets the hierarchical network, bit for bit.
   harness::RunConfig cfg;
-  cfg.cmp.num_cores = 256;
-  cfg.cmp.gline.hierarchical = false;
+  cfg.cmp.num_cores = 64;
   cfg.policy.highly_contended = locks::LockKind::kGlock;
-  EXPECT_THROW(harness::run_workload(wl, cfg), SimError);
+  cfg.cmp.gline.hierarchical = false;
+  const auto flat = harness::run_workload(
+      *workloads::make_workload("SCTR", 0.1), cfg);
+  cfg.cmp.gline.hierarchical = true;
+  const auto tree = harness::run_workload(
+      *workloads::make_workload("SCTR", 0.1), cfg);
+  EXPECT_GT(tree.gline.acquires_granted, 0u);
+  EXPECT_EQ(test::diff_results(flat, tree), "");
 }
 
 }  // namespace
