@@ -10,6 +10,8 @@
 #   2. Run restore: checkpoint a glocksim run every N cycles, then
 #      --restore each file in a fresh process and require the report
 #      CSV byte-identical to the uninterrupted run's.
+#   3. scripts/bisect_divergence.sh with one build on both sides must
+#      report no divergence.
 #
 # Usage: scripts/check_sweep_resume.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -63,5 +65,12 @@ for f in "$WORK"/SCTR-*.ckpt; do
 done
 [[ "$found" -ge 1 ]] || {
   echo "FAIL: --checkpoint-every wrote no checkpoint files" >&2; exit 1; }
+
+# --- 3. divergence bisector ------------------------------------------
+# The same build on both sides must find no divergence.
+OUT="$WORK/bisect" EVERY=1500 scripts/bisect_divergence.sh \
+  "$BUILD_DIR" "$BUILD_DIR" -- "${RUN[@]}" || {
+  echo "FAIL: the bisector found a divergence between a build and itself" >&2
+  exit 1; }
 
 echo "sweep-resume smoke passed ($found checkpoint(s) restored)."

@@ -69,9 +69,9 @@ struct GlineConfig {
   /// explores longer-latency G-lines, exercised by the ablation bench.
   Cycle signal_latency = 1;
   /// Build the Section V hierarchical G-line network (arbitrary-depth
-  /// token tree) instead of the flat two-level design. A fault-free chip
-  /// wider than the single-cycle reach (7x7) at unit signal latency gets
-  /// the tree even when this is false.
+  /// token tree) instead of the flat two-level design. A chip wider than
+  /// the single-cycle reach (7x7) at unit signal latency gets the tree
+  /// even when this is false, with or without faults.
   bool hierarchical = false;
   /// Max transmitters a single G-line supports (Section III-F cites six,
   /// bounding the baseline design at 7x7 meshes). The per-transmitter

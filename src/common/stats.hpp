@@ -33,12 +33,6 @@ class Histogram {
     return static_cast<std::uint32_t>(counts_.size() - 1);
   }
 
-  /// Checkpoint restore only: overwrites one bin's count.
-  void set_count(std::uint32_t bin, std::uint64_t v) {
-    GLOCKS_CHECK(bin < counts_.size(), "bin out of range");
-    counts_[bin] = v;
-  }
-
   /// Sum over bins [first..last] inclusive.
   std::uint64_t total(std::uint32_t first = 0,
                       std::uint32_t last = ~std::uint32_t{0}) const;

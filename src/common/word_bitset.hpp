@@ -19,13 +19,6 @@ class WordBitset {
 
   void set(std::size_t i) { words_[i / 64] |= mask(i); }
   void reset(std::size_t i) { words_[i / 64] &= ~mask(i); }
-  void assign(std::size_t i, bool on) {
-    if (on) {
-      set(i);
-    } else {
-      reset(i);
-    }
-  }
   bool test(std::size_t i) const { return (words_[i / 64] & mask(i)) != 0; }
   bool none() const {
     for (const std::uint64_t w : words_) {

@@ -236,13 +236,6 @@ void save_bool_vec(ckpt::ArchiveWriter& a, const std::vector<bool>& v) {
   for (bool bit : v) a.b(bit);
 }
 
-void load_bool_vec(ckpt::ArchiveReader& a, std::vector<bool>& v) {
-  const std::uint32_t n = a.u32();
-  GLOCKS_CHECK(n == v.size(), "checkpoint register-file size mismatch: have "
-                                  << v.size() << ", archive has " << n);
-  for (std::uint32_t i = 0; i < n; ++i) v[i] = a.b();
-}
-
 }  // namespace
 
 void Core::save(ckpt::ArchiveWriter& a) const {
@@ -274,42 +267,6 @@ void Core::save(ckpt::ArchiveWriter& a) const {
   a.u64(t.uops);
   a.u64(t.gline_spin_cycles);
   a.u64(t.finish_cycle);
-}
-
-void Core::load(ckpt::ArchiveReader& a) {
-  load_bool_vec(a, lock_regs_.req);
-  load_bool_vec(a, lock_regs_.rel);
-  load_bool_vec(a, barrier_regs_.arrive);
-  load_bool_vec(a, barrier_regs_.wait);
-  mem::load_sb_station(a, sb_station_);
-  mem::load_qolb_station(a, qolb_station_);
-  started_ = a.b();
-  finish_reported_ = a.b();
-  dormant_ = a.b();
-  dormant_spin_ = a.b();
-  dormant_charge_ = static_cast<std::size_t>(a.u64());
-  dormant_wait_ = static_cast<ThreadContext::Wait>(a.u8());
-  last_tick_ = a.u64();
-  parked_ = a.b();
-  const bool has_thread = a.b();
-  GLOCKS_CHECK(has_thread == (ctx_ != nullptr),
-               "checkpoint thread-binding mismatch on core " << id_);
-  if (ctx_ == nullptr) return;
-  ThreadContext& t = *ctx_;
-  t.wait = static_cast<ThreadContext::Wait>(a.u8());
-  t.compute_remaining = a.u64();
-  t.mem_result = a.u64();
-  t.spin_addr = a.u64();
-  t.gline_id = a.u32();
-  t.finished = a.b();
-  t.category = static_cast<Category>(a.u8());
-  for (std::uint64_t& c : t.cycles) c = a.u64();
-  t.uops = a.u64();
-  t.gline_spin_cycles = a.u64();
-  t.finish_cycle = a.u64();
-  // t.resume_point and the spin test are deliberately untouched:
-  // coroutine frames are not serializable; system-level restore
-  // rebuilds them by replay.
 }
 
 }  // namespace glocks::core

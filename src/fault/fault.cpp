@@ -472,44 +472,10 @@ void save_fault_stats(ckpt::ArchiveWriter& a, const FaultStats& s) {
   }
 }
 
-void load_fault_stats(ckpt::ArchiveReader& a, FaultStats& s) {
-  s.enabled = a.b();
-  for (std::uint64_t& v : s.injected) v = a.u64();
-  s.detected = a.u64();
-  s.tolerated = a.u64();
-  s.retransmissions = a.u64();
-  s.watchdog_timeouts = a.u64();
-  s.spurious_retransmissions = a.u64();
-  s.rx_discards = a.u64();
-  s.duplicate_frames = a.u64();
-  s.link_failures = a.u64();
-  s.fallback_demotions = a.u64();
-  s.fallback_acquires = a.u64();
-  s.reroutes = a.u64();
-  s.e2e_timeouts = a.u64();
-  s.e2e_retries = a.u64();
-  s.e2e_dup_drops = a.u64();
-  s.detection_latency_sum = a.u64();
-  s.detection_count = a.u64();
-  const std::uint32_t bins = a.u32();
-  GLOCKS_CHECK(bins == s.detection_latency.max_bin(),
-               "checkpoint latency-histogram shape mismatch");
-  for (std::uint32_t b = 0; b <= bins; ++b) {
-    s.detection_latency.set_count(b, a.u64());
-  }
-}
-
 void save_glock_health(ckpt::ArchiveWriter& a, const GlockHealth& h) {
   a.u32(static_cast<std::uint32_t>(h.demoted.size()));
   for (std::uint8_t d : h.demoted) a.u8(d);
   a.u64(h.fallback_acquires);
-}
-
-void load_glock_health(ckpt::ArchiveReader& a, GlockHealth& h) {
-  const std::uint32_t n = a.u32();
-  GLOCKS_CHECK(n == h.demoted.size(), "checkpoint health-board size mismatch");
-  for (std::uint8_t& d : h.demoted) d = a.u8();
-  h.fallback_acquires = a.u64();
 }
 
 void FaultInjector::save(ckpt::ArchiveWriter& a) const {
@@ -529,31 +495,6 @@ void FaultInjector::save(ckpt::ArchiveWriter& a) const {
   }
   save_fault_stats(a, stats_);
   a.b(finalized_);
-}
-
-void FaultInjector::load(ckpt::ArchiveReader& a) {
-  const std::uint32_t wires = a.u32();
-  stuck_from_.resize(wires);
-  stuck_event_.resize(wires);
-  for (std::uint32_t i = 0; i < wires; ++i) {
-    stuck_from_[i] = a.u64();
-    stuck_event_[i] = static_cast<std::int32_t>(a.i64());
-  }
-  ledger_.clear();
-  const std::uint32_t events = a.u32();
-  ledger_.reserve(events);
-  for (std::uint32_t i = 0; i < events; ++i) {
-    FaultEvent e;
-    e.kind = static_cast<FaultKind>(a.u8());
-    e.wire = a.u32();
-    e.injected = a.u64();
-    e.detected_at = a.u64();
-    e.closed = a.b();
-    e.tolerated = a.b();
-    ledger_.push_back(e);
-  }
-  load_fault_stats(a, stats_);
-  finalized_ = a.b();
 }
 
 }  // namespace glocks::fault

@@ -102,7 +102,6 @@ struct FaultStats {
 /// Checkpoint codec for the aggregated counters (including the detection
 /// latency histogram, bin by bin).
 void save_fault_stats(ckpt::ArchiveWriter& a, const FaultStats& s);
-void load_fault_stats(ckpt::ArchiveReader& a, FaultStats& s);
 
 /// Shared health board: the lock factory reads it to decide whether a
 /// GLock id still has working hardware behind it, and the fallback lock
@@ -117,7 +116,6 @@ struct GlockHealth {
 
 /// Checkpoint codec for the health board.
 void save_glock_health(ckpt::ArchiveWriter& a, const GlockHealth& h);
-void load_glock_health(ckpt::ArchiveReader& a, GlockHealth& h);
 
 /// Outcome of sending one frame on a wire, plus the ledger events that
 /// ride along. `events` carries at most two ids (a garble and a delay can
@@ -182,7 +180,6 @@ class FaultInjector {
   /// Checkpoint: stuck-at schedule, event ledger, aggregated stats, and
   /// the finalized flag. The config is construction-time state.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   double roll(std::uint32_t wire, Cycle now, std::uint32_t salt) const;

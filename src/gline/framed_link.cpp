@@ -270,38 +270,4 @@ void FramedChannel::save(ckpt::ArchiveWriter& a) const {
   a.b(dead_);
 }
 
-void FramedChannel::load(ckpt::ArchiveReader& a) {
-  up_.load(a);
-  down_.load(a);
-  for (int e = 0; e < 2; ++e) busy_until_[e] = a.u64();
-  for (int e = 0; e < 2; ++e) {
-    Tx& tx = tx_[e];
-    tx.outq.clear();
-    for (std::uint32_t n = a.u32(); n > 0; --n) {
-      tx.outq.push_back(static_cast<Sym>(a.u8()));
-    }
-    tx.in_flight = a.b();
-    tx.resend = a.b();
-    tx.seq = a.u8();
-    tx.retry_at = a.u64();
-    tx.retries = a.u32();
-    tx.pending_events.clear();
-    for (std::uint32_t n = a.u32(); n > 0; --n) {
-      tx.pending_events.push_back(static_cast<std::int32_t>(a.i64()));
-    }
-  }
-  for (int e = 0; e < 2; ++e) {
-    Rx& rx = rx_[e];
-    rx.last_seq = static_cast<int>(a.i64());
-    rx.inbox.clear();
-    for (std::uint32_t n = a.u32(); n > 0; --n) {
-      rx.inbox.push_back(static_cast<Sym>(a.u8()));
-    }
-    rx.ack_pending = a.b();
-    rx.ack_seq = a.u8();
-  }
-  dead_ = a.b();
-  noise_at_[0] = noise_at_[1] = 0;
-}
-
 }  // namespace glocks::gline

@@ -104,9 +104,8 @@ class FramedChannel {
   /// Checkpoint: both wires, both ARQ directions (queues, sequence bits,
   /// watchdog timers, pending fault events) and the dead flag. Timeout
   /// parameters and fault wiring are construction-time state; the noise
-  /// lookahead is derived and recomputed after load.
+  /// lookahead is derived and stays out of the archive.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   struct Tx {

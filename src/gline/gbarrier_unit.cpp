@@ -147,26 +147,4 @@ void GBarrierUnit::save(ckpt::ArchiveWriter& a) const {
   a.u64(stats_.local_flags);
 }
 
-void GBarrierUnit::load(ckpt::ArchiveReader& a) {
-  GLOCKS_CHECK(a.u32() == lcs_.size(),
-               "checkpoint barrier LC count mismatch");
-  for (LocalCtl& lc : lcs_) {
-    lc.state = static_cast<LcState>(a.u8());
-    lc.up.load(a);
-    lc.down.load(a);
-  }
-  GLOCKS_CHECK(a.u32() == rows_.size(),
-               "checkpoint barrier row count mismatch");
-  for (Row& r : rows_) {
-    r.arrived = a.u32();
-    r.reported = a.b();
-    r.up.load(a);
-    r.down.load(a);
-  }
-  rows_arrived_ = a.u32();
-  stats_.episodes = a.u64();
-  stats_.signals = a.u64();
-  stats_.local_flags = a.u64();
-}
-
 }  // namespace glocks::gline

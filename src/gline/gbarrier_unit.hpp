@@ -58,7 +58,6 @@ class GBarrierUnit {
 
   /// Checkpoint: controller FSMs, wires, row aggregation state, stats.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   enum class LcState : std::uint8_t { kIdle, kArrived };

@@ -12,7 +12,15 @@ GlineSystem::GlineSystem(
     const CmpConfig& cfg, std::vector<glocks::core::LockRegisters*> regs,
     std::vector<glocks::core::BarrierRegisters*> barrier_regs) {
   const std::uint32_t width = cfg.mesh_width();
-  hierarchical_ = cfg.gline.hierarchical;
+  // Baseline G-line technology supports up to seven tiles per dimension
+  // (six transmitters + one receiver per line, Section III-F). A wider
+  // mesh takes the longer-latency G-line variant (Section V scaling path
+  // 1, gline.signal_latency > 1) or, at single-cycle latency, the
+  // hierarchical network (path 2), which is then built regardless of
+  // gline.hierarchical, with or without faults.
+  hierarchical_ = cfg.gline.hierarchical ||
+                  (cfg.gline.signal_latency == 1 &&
+                   width > cfg.gline.max_transmitters_per_line + 1);
   if (cfg.fault.enabled) {
     // Fault mode: every lock rides the guarded transport so the protocol
     // can detect and survive the injected schedule.
@@ -26,16 +34,6 @@ GlineSystem::GlineSystem(
           cfg.fault, injector_.get(), health_.get(), regs));
     }
   } else {
-    // Baseline G-line technology supports up to seven tiles per dimension
-    // (six transmitters + one receiver per line, Section III-F). A wider
-    // mesh takes the longer-latency G-line variant (Section V scaling
-    // path 1, gline.signal_latency > 1) or, at single-cycle latency, the
-    // hierarchical network (path 2), which is then built regardless of
-    // gline.hierarchical.
-    if (cfg.gline.signal_latency == 1 &&
-        width > cfg.gline.max_transmitters_per_line + 1) {
-      hierarchical_ = true;
-    }
     for (GlockId g = 0; g < cfg.gline.num_glocks; ++g) {
       if (hierarchical_) {
         // An arbitrary-depth token tree whose segments never exceed the
@@ -200,29 +198,6 @@ void GlineSystem::save(ckpt::ArchiveWriter& a) const {
   if (guarded()) {
     injector_->save(a);
     fault::save_glock_health(a, *health_);
-  }
-}
-
-void GlineSystem::load(ckpt::ArchiveReader& a) {
-  GLOCKS_CHECK(a.b() == hierarchical_,
-               "checkpoint G-line topology flavour mismatch");
-  GLOCKS_CHECK(a.b() == guarded(),
-               "checkpoint G-line transport flavour mismatch");
-  GLOCKS_CHECK(a.u32() == num_glocks(),
-               "checkpoint GLock count mismatch");
-  if (guarded()) {
-    for (const auto& u : guarded_units_) u->load(a);
-  } else if (hierarchical_) {
-    for (const auto& u : hier_units_) u->load(a);
-  } else {
-    for (const auto& u : units_) u->load(a);
-  }
-  GLOCKS_CHECK(a.u32() == num_gbarriers(),
-               "checkpoint GBarrier count mismatch");
-  for (const auto& b : barriers_) b->load(a);
-  if (guarded()) {
-    injector_->load(a);
-    fault::load_glock_health(a, *health_);
   }
 }
 

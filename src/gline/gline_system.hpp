@@ -81,9 +81,9 @@ class GlineSystem final : public sim::Component {
 
   /// Checkpoint: every lock unit and barrier, plus (in fault mode) the
   /// injector ledger and the health board. The unit flavour and counts
-  /// are construction-time state and are validated on load.
+  /// are construction-time state, written so a byte comparison names a
+  /// topology mismatch.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   bool hierarchical_ = false;

@@ -240,30 +240,4 @@ void GlockUnit::save(ckpt::ArchiveWriter& a) const {
   save_gline_stats(a, stats_);
 }
 
-void GlockUnit::load(ckpt::ArchiveReader& a) {
-  GLOCKS_CHECK(a.u32() == lcs_.size(), "checkpoint glock LC count mismatch");
-  for (LocalCtl& lc : lcs_) {
-    lc.state = static_cast<LcState>(a.u8());
-    lc.up.load(a);
-    lc.down.load(a);
-  }
-  GLOCKS_CHECK(a.u32() == rows_.size(), "checkpoint glock row count mismatch");
-  for (Row& r : rows_) {
-    GLOCKS_CHECK(a.u32() == r.fx.size(), "checkpoint glock fx size mismatch");
-    for (std::size_t i = 0; i < r.fx.size(); ++i) r.fx[i] = a.b();
-    r.up.load(a);
-    r.down.load(a);
-    r.has_token = a.b();
-    r.requested = a.b();
-    r.granted = static_cast<int>(a.i64());
-    r.pos = a.u32();
-  }
-  GLOCKS_CHECK(a.u32() == fs_.size(), "checkpoint glock fs size mismatch");
-  for (std::size_t i = 0; i < fs_.size(); ++i) fs_[i] = a.b();
-  token_home_ = a.b();
-  granted_row_ = static_cast<int>(a.i64());
-  r_pos_ = a.u32();
-  load_gline_stats(a, stats_);
-}
-
 }  // namespace glocks::gline

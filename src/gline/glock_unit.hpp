@@ -70,7 +70,6 @@ class GlockUnit {
 
   /// Checkpoint: controller FSMs, wires, manager flags/token state, stats.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   enum class LcState : std::uint8_t { kIdle, kWaiting, kHolding };

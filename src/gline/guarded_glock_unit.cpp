@@ -78,16 +78,10 @@ GuardedGlockUnit::GuardedGlockUnit(
     if (m.up) channels_.push_back(m.up.get());
   }
   live_.resize(channels_.size());  // sized once: channels hold its words
-  due_.resize(channels_.size());
+  due_.resize(channels_.size());    // every channel due at cycle 0
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     channels_[i]->set_live_bit(live_.word(i), common::WordBitset::mask(i));
   }
-  reset_schedule();
-}
-
-void GuardedGlockUnit::reset_schedule() {
-  std::fill(due_.begin(), due_.end(), Cycle{0});
-  next_tick_ = 0;
 }
 
 FramedChannel& GuardedGlockUnit::child_channel(Mgr& m, std::uint32_t i) {
@@ -349,35 +343,6 @@ void GuardedGlockUnit::save(ckpt::ArchiveWriter& a) const {
   a.b(failing_);
   a.b(demoted_);
   save_gline_stats(a, stats_);
-}
-
-void GuardedGlockUnit::load(ckpt::ArchiveReader& a) {
-  GLOCKS_CHECK(a.u32() == leaves_.size(),
-               "checkpoint guarded leaf count mismatch");
-  for (Leaf& lf : leaves_) {
-    lf.state = static_cast<LcState>(a.u8());
-    lf.ch->load(a);
-  }
-  GLOCKS_CHECK(a.u32() == mgrs_.size(),
-               "checkpoint guarded manager count mismatch");
-  for (Mgr& m : mgrs_) {
-    GLOCKS_CHECK(a.u32() == m.fx.size(),
-                 "checkpoint guarded fx size mismatch");
-    for (std::size_t i = 0; i < m.fx.size(); ++i) m.fx[i] = a.b();
-    const bool has_up = a.b();
-    GLOCKS_CHECK(has_up == (m.up != nullptr),
-                 "checkpoint guarded topology mismatch");
-    if (m.up != nullptr) m.up->load(a);
-    m.has_token = a.b();
-    m.requested = a.b();
-    m.granted = static_cast<int>(a.i64());
-    m.pos = a.u32();
-  }
-  holder_count_ = a.u32();
-  failing_ = a.b();
-  demoted_ = a.b();
-  load_gline_stats(a, stats_);
-  reset_schedule();
 }
 
 }  // namespace glocks::gline

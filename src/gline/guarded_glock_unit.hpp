@@ -82,9 +82,8 @@ class GuardedGlockUnit {
 
   /// Checkpoint: leaf FSMs + channels, manager flags/token state, holder
   /// count, failing/demoted flags, stats. The live set and deadlines are
-  /// derived: load marks every channel live and due now.
+  /// derived and stay out of the archive.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   enum class LcState : std::uint8_t { kIdle, kWaiting, kHolding };
@@ -116,8 +115,6 @@ class GuardedGlockUnit {
   bool mgr_settled(const Mgr& m) const;
   void try_demote(Cycle now);
   void flush_registers();
-  /// Marks every channel due now (construction and load).
-  void reset_schedule();
 
   GlockId glock_;
   FaultConfig cfg_;

@@ -53,7 +53,6 @@ class HierGlockUnit {
 
   /// Checkpoint: controller FSMs, wires, node flags/token state, stats.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   enum class LcState : std::uint8_t { kIdle, kWaiting, kHolding };

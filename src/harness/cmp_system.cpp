@@ -179,7 +179,7 @@ Cycle CmpSystem::run(const std::vector<Cycle>& pause_at,
   return end;
 }
 
-void CmpSystem::save_state(ckpt::ArchiveWriter& a) {
+void CmpSystem::save_state(ckpt::ArchiveWriter& a) const {
   a.begin_section(ckpt::tags::kEngine);
   engine_.save(a);
   a.end_section();
@@ -197,49 +197,12 @@ void CmpSystem::save_state(ckpt::ArchiveWriter& a) {
   a.begin_section(ckpt::tags::kHeap);
   heap_.save(a);
   a.end_section();
-  // Mesh before hierarchy: the hierarchy section ends with the message-
-  // pool counters, which a load must apply after every pooled payload
-  // (mesh packets included) has been re-acquired.
-  const noc::PayloadCodec codec = hierarchy_.payload_codec();
   a.begin_section(ckpt::tags::kMesh);
-  mesh_.save(a, codec);
+  mesh_.save(a, &mem::Hierarchy::save_payload);
   a.end_section();
   a.begin_section(ckpt::tags::kHierarchy);
   hierarchy_.save(a);
   a.end_section();
-}
-
-namespace {
-
-void expect_section(ckpt::ArchiveReader& a, std::uint32_t tag,
-                    const char* name) {
-  if (!a.next_section() || a.section_tag() != tag) {
-    throw ckpt::CkptError(
-        ckpt::CkptError::Code::kBadSection,
-        std::string("checkpoint is missing the ") + name + " section");
-  }
-}
-
-}  // namespace
-
-void CmpSystem::load_state(ckpt::ArchiveReader& a) {
-  expect_section(a, ckpt::tags::kEngine, "engine");
-  engine_.load(a);
-  expect_section(a, ckpt::tags::kCores, "cores");
-  GLOCKS_CHECK(a.u32() == num_cores(), "checkpoint core count mismatch");
-  finished_count_ = a.u32();
-  for (const auto& c : cores_) c->load(a);
-  expect_section(a, ckpt::tags::kGlines, "G-line");
-  glines_->load(a);
-  expect_section(a, ckpt::tags::kCensus, "census");
-  census_.load(a);
-  expect_section(a, ckpt::tags::kHeap, "heap");
-  heap_.load(a);
-  const noc::PayloadCodec codec = hierarchy_.payload_codec();
-  expect_section(a, ckpt::tags::kMesh, "mesh");
-  mesh_.load(a, codec);
-  expect_section(a, ckpt::tags::kHierarchy, "hierarchy");
-  hierarchy_.load(a);
 }
 
 }  // namespace glocks::harness

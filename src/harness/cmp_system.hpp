@@ -58,18 +58,10 @@ class CmpSystem {
   Cycle run(const std::vector<Cycle>& pause_at,
             const std::function<void(Cycle)>& on_pause);
 
-  /// Serializes the full machine state as one section per subsystem.
-  /// Section order matters on the way back in: the hierarchy writes its
-  /// message-pool counters after the mesh so a load ends with exact pool
-  /// accounting (see mem/hierarchy.cpp).
-  void save_state(ckpt::ArchiveWriter& a);
-
-  /// Restores machine state saved by save_state(). Coroutine frames and
-  /// completion callbacks are NOT restored — they are host-side state
-  /// that only deterministic replay can rebuild (docs/checkpoint_format
-  /// .md); this entry point exists for component-level tests and for the
-  /// restore path's byte-exact verification of a replayed machine.
-  void load_state(ckpt::ArchiveReader& a);
+  /// Serializes the full machine state as one section per subsystem:
+  /// the image a restore's replay is byte-compared against (machine
+  /// state is never read back; docs/checkpoint_format.md).
+  void save_state(ckpt::ArchiveWriter& a) const;
 
   /// Per-core wait states and lock registers plus the G-line units'
   /// controller/token dump; installed as the engine's hang reporter.

@@ -56,7 +56,7 @@ class ContentionCensus final : public sim::Component {
 
   /// Checkpoint: per-lock histograms, cached requester counts, and the
   /// last sample cycle. The watched-lock wiring is rebuilt by the system
-  /// builder and validated by count here.
+  /// builder.
   void save(ckpt::ArchiveWriter& a) const {
     a.u32(static_cast<std::uint32_t>(histograms_.size()));
     for (std::size_t i = 0; i < histograms_.size(); ++i) {
@@ -66,20 +66,6 @@ class ContentionCensus final : public sim::Component {
       a.u32(cached_[i]);
     }
     a.u64(last_tick_);
-  }
-  void load(ckpt::ArchiveReader& a) {
-    GLOCKS_CHECK(a.u32() == histograms_.size(),
-                 "checkpoint census lock count mismatch");
-    for (std::size_t i = 0; i < histograms_.size(); ++i) {
-      Histogram& h = histograms_[i];
-      GLOCKS_CHECK(a.u32() == h.max_bin(),
-                   "checkpoint census histogram shape mismatch");
-      for (std::uint32_t b = 0; b <= h.max_bin(); ++b) {
-        h.set_count(b, a.u64());
-      }
-      cached_[i] = a.u32();
-    }
-    last_tick_ = a.u64();
   }
 
   /// Total census cycles across all locks (the denominator of eq. 3).

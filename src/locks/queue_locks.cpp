@@ -39,8 +39,8 @@ void ArrayLock::preload(mem::BackingStore& memory) {
 }
 
 Task<void> ArrayLock::do_acquire(ThreadApi& t) {
-  const Word idx =
-      (co_await t.amo(AmoKind::kFetchAdd, next_idx_, 1)) % num_slots_;
+  const Word ticket = co_await t.amo(AmoKind::kFetchAdd, next_idx_, 1);
+  const Word idx = ticket % num_slots_;
   my_slot_[t.thread_id()] = idx;
   const Addr slot = slots_ + idx * kLineBytes;
   // Slot 0 starts at 1 (set by the harness preload); every other slot is

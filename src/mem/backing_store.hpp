@@ -59,17 +59,6 @@ class BackingStore {
     }
   }
 
-  void load(ckpt::ArchiveReader& a) {
-    lines_.clear();
-    const std::uint64_t n = a.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const Addr line = a.u64();
-      LineData d{};
-      for (Word& w : d) w = a.u64();
-      lines_[line] = d;
-    }
-  }
-
  private:
   std::unordered_map<Addr, LineData> lines_;
 };

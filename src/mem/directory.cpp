@@ -488,83 +488,4 @@ void DirSlice::save(ckpt::ArchiveWriter& a) const {
   for (std::uint64_t v : last_done_) a.u64(v);
 }
 
-void DirSlice::load(ckpt::ArchiveReader& a) {
-  for (auto& set : l2_sets_) {
-    for (L2Entry& e : set) {
-      e.valid = a.b();
-      e.line = a.u64();
-      for (Word& w : e.data) w = a.u64();
-      e.dirty = a.b();
-      e.lru = a.u64();
-    }
-  }
-  dir_.clear();
-  const std::uint64_t nd = a.u64();
-  for (std::uint64_t i = 0; i < nd; ++i) {
-    const Addr line = a.u64();
-    DirEntry e;
-    e.state = static_cast<DirState>(a.u8());
-    e.owner = a.u32();
-    e.sharers = SharerSet(num_cores_);
-    for (std::size_t w = 0; w < e.sharers.words().size(); ++w) {
-      e.sharers.set_word(w, a.u64());
-    }
-    dir_[line] = e;
-  }
-  txns_.clear();
-  const std::uint64_t nt = a.u64();
-  for (std::uint64_t i = 0; i < nt; ++i) {
-    const Addr line = a.u64();
-    Txn t;
-    t.type = static_cast<CohType>(a.u8());
-    t.requester = a.u32();
-    t.phase = static_cast<Phase>(a.u8());
-    t.pending_acks = a.u32();
-    t.wake_at = a.u64();
-    t.requester_had_copy = a.b();
-    t.req_id = a.u64();
-    txns_[line] = t;
-  }
-  deferred_.clear();
-  const std::uint64_t ndef = a.u64();
-  for (std::uint64_t i = 0; i < ndef; ++i) {
-    const Addr line = a.u64();
-    auto& q = deferred_[line];
-    const std::uint64_t qs = a.u64();
-    for (std::uint64_t j = 0; j < qs; ++j) {
-      q.push_back(transport_.make_msg(load_coh_msg(a)));
-    }
-  }
-  inbox_.clear();
-  const std::uint64_t nin = a.u64();
-  for (std::uint64_t i = 0; i < nin; ++i) {
-    Inbox in;
-    in.ready = a.u64();
-    in.msg = transport_.make_msg(load_coh_msg(a));
-    inbox_.push_back(std::move(in));
-  }
-  read_buf_.clear();
-  const std::uint64_t nrb = a.u64();
-  for (std::uint64_t i = 0; i < nrb; ++i) {
-    const Addr line = a.u64();
-    LineData d{};
-    for (Word& w : d) w = a.u64();
-    read_buf_[line] = d;
-  }
-  stats_.gets = a.u64();
-  stats_.getx = a.u64();
-  stats_.upgrades = a.u64();
-  stats_.putm = a.u64();
-  stats_.stale_putm = a.u64();
-  stats_.invalidations_sent = a.u64();
-  stats_.forwards_sent = a.u64();
-  stats_.l2_hits = a.u64();
-  stats_.l2_misses = a.u64();
-  stats_.memory_fetches = a.u64();
-  stats_.memory_writebacks = a.u64();
-  stats_.deferred_requests = a.u64();
-  stats_.dup_requests = a.u64();
-  for (std::uint64_t& v : last_done_) v = a.u64();
-}
-
 }  // namespace glocks::mem

@@ -80,7 +80,6 @@ class DirSlice final : public sim::Component {
   /// deferred queues, inbox, in-flight data reads, and stats. Map-backed
   /// state is written in sorted key order so the bytes are canonical.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   enum class DirState : std::uint8_t { kU, kS, kM };

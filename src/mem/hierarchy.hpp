@@ -84,14 +84,13 @@ class Hierarchy final : public Transport {
   DirStats total_dir_stats() const;
 
   /// Checkpoint: backing store, every L1/directory/SB/QOLB component,
-  /// and — written last, so a load overwrites any counts perturbed by
-  /// re-acquiring payload nodes — the message-pool counters.
+  /// then the message pool's logical counters.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
-  /// The codec the mesh uses to drain/restore pooled packet payloads
-  /// (PayloadKind::kCohMsg pointees live in this hierarchy's pool).
-  noc::PayloadCodec payload_codec();
+  /// Writes a packet's payload in portable form; the mesh's save() calls
+  /// it for every packet in flight (PayloadKind::kCohMsg pointees live in
+  /// this hierarchy's pool).
+  static void save_payload(ckpt::ArchiveWriter& a, const noc::Packet& p);
 
  private:
   void deliver_local(CoreId tile, CohMsgPtr msg, Cycle ready);

@@ -532,75 +532,4 @@ void L1Cache::save(ckpt::ArchiveWriter& a) const {
   }
 }
 
-void L1Cache::load(ckpt::ArchiveReader& a) {
-  for (auto& set : sets_) {
-    for (Entry& e : set) {
-      e.valid = a.b();
-      e.line = a.u64();
-      e.state = static_cast<LineState>(a.u8());
-      for (Word& w : e.data) w = a.u64();
-      e.lru = a.u64();
-    }
-  }
-  pending_.reset();
-  if (a.b()) {
-    Pending p;
-    p.op.type = static_cast<MemOp::Type>(a.u8());
-    p.op.addr = a.u64();
-    p.op.value = a.u64();
-    p.op.expected = a.u64();
-    p.op.amo = static_cast<AmoKind>(a.u8());
-    p.lookup_ready = a.u64();
-    p.request_sent = a.b();
-    p.sent_upgrade = a.b();
-    p.upgrade_invalidated = a.b();
-    p.fill_invalidate = a.b();
-    if (a.b()) p.pending_fwd = transport_.make_msg(load_coh_msg(a));
-    p.req_id = a.u64();
-    p.e2e_deadline = a.u64();
-    p.e2e_retries = a.u32();
-    // p.done stays empty: the retire callback closes over a coroutine
-    // frame and is re-established by the replay path, never by load.
-    pending_ = std::move(p);
-  }
-  wb_buffer_.clear();
-  const std::uint64_t nwb = a.u64();
-  for (std::uint64_t i = 0; i < nwb; ++i) {
-    WbEntry wb;
-    wb.line = a.u64();
-    for (Word& w : wb.data) w = a.u64();
-    wb_buffer_.push_back(wb);
-  }
-  inbox_.clear();
-  const std::uint64_t nin = a.u64();
-  for (std::uint64_t i = 0; i < nin; ++i) {
-    Inbox in;
-    in.ready = a.u64();
-    in.msg = transport_.make_msg(load_coh_msg(a));
-    inbox_.push_back(std::move(in));
-  }
-  stats_.loads = a.u64();
-  stats_.stores = a.u64();
-  stats_.amos = a.u64();
-  stats_.hits = a.u64();
-  stats_.misses = a.u64();
-  stats_.upgrades = a.u64();
-  stats_.writebacks = a.u64();
-  stats_.invalidations_received = a.u64();
-  stats_.forwards_served = a.u64();
-  op_seq_ = a.u64();
-  e2e_.timeouts = a.u64();
-  e2e_.retries = a.u64();
-  watch_.reset();
-  if (a.b()) {
-    SpinWatch w;
-    w.addr = a.u64();
-    w.since = a.u64();
-    w.period = a.u64();
-    // The watch's callbacks, like the MSHR's, are host-side state that
-    // the replay path re-establishes.
-    watch_ = w;
-  }
-}
-
 }  // namespace glocks::mem

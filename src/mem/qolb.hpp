@@ -59,7 +59,6 @@ struct QolbStation {
 /// Checkpoint codec for the register fields (`owner` is wiring,
 /// reconstructed by the system builder).
 void save_qolb_station(ckpt::ArchiveWriter& a, const QolbStation& st);
-void load_qolb_station(ckpt::ArchiveReader& a, QolbStation& st);
 
 struct QolbStats {
   std::uint64_t enqueues = 0;
@@ -82,7 +81,6 @@ class QolbHome final : public sim::Component {
 
   /// Checkpoint: lock table (sorted by lock id), inbox, stats.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   struct LockState {

@@ -52,7 +52,6 @@ class SharerSet {
   /// Checkpoint access: the raw bit words (fixed layout: bit c of word
   /// c/64 == core c shares the line).
   const std::vector<std::uint64_t>& words() const { return bits_; }
-  void set_word(std::size_t i, std::uint64_t w) { bits_[i] = w; }
 
  private:
   void check(CoreId c) const {

@@ -489,28 +489,4 @@ void MeshFaultDomain::save(ckpt::ArchiveWriter& a) const {
   }
 }
 
-void MeshFaultDomain::load(ckpt::ArchiveReader& a) {
-  injector_.load(a);
-  deaths_ = a.u64();
-  for (Link& l : links_) l.dead = a.b();
-  next_kill_ = a.u64();
-  for (std::size_t gi = 0; gi < guards_.size(); ++gi) {
-    Guard& g = guards_[gi];
-    g.busy = a.b();
-    busy_.assign(gi, g.busy);
-    g.delivered = a.b();
-    g.had_fault = a.b();
-    g.in_port = static_cast<Dir>(a.u8());
-    g.ack_at = a.u64();
-    g.retry_at = a.u64();
-    g.retries = a.u32();
-    g.pending.clear();
-    const std::uint32_t n = a.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      g.pending.push_back(static_cast<std::int32_t>(a.i64()));
-    }
-  }
-  if (deaths_ > 0) recompute_detours();
-}
-
 }  // namespace glocks::noc

@@ -63,9 +63,9 @@ class MeshFaultDomain final : public LinkFaultModel {
   std::string debug_dump() const;
 
   /// Checkpoint: injector (ledger + stats), dead-link set, scripted-kill
-  /// progress, and every guard. Detour tables are recomputed on load.
+  /// progress, and every guard. Detour tables and the busy-guard set are
+  /// derived and stay out of the archive.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   /// One directed router-to-router link (tile -> neighbor through dir).
@@ -142,7 +142,7 @@ class MeshFaultDomain final : public LinkFaultModel {
   std::vector<Link> links_;    ///< [tile*4 + dir-1]
   std::vector<Guard> guards_;  ///< [(tile*4 + dir-1)*3 + class]
   /// Indices of the busy guards: start_transfer sets a bit, an ack or a
-  /// link death clears it. Derived from Guard::busy; load() rebuilds it.
+  /// link death clears it. Derived from Guard::busy.
   common::WordBitset busy_;
   std::vector<LinkKill> kills_;  ///< scripted, sorted by (at, tile, dir)
   std::size_t next_kill_ = 0;

@@ -186,7 +186,8 @@ void Mesh::tick(Cycle now) {
   if (next > now + 1) sleep_until(next);
 }
 
-void Mesh::save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const {
+void Mesh::save(ckpt::ArchiveWriter& a,
+                const PayloadSaver& save_payload) const {
   for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
     const auto cls = static_cast<MsgClass>(c);
     a.u64(stats_.bytes(cls));
@@ -201,49 +202,14 @@ void Mesh::save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const {
     for (const auto& outbox : nic.outbox) {
       a.u64(outbox.size());
       for (std::size_t i = 0; i < outbox.size(); ++i) {
-        save_packet(a, outbox[i], codec);
+        save_packet(a, outbox[i], save_payload);
       }
     }
   }
-  for (const auto& r : routers_) r->save(a, codec);
+  for (const auto& r : routers_) r->save(a, save_payload);
   // The fault domain's section is gated on its presence; the run spec in
   // the checkpoint metadata decides it identically on both sides.
   if (fault_ != nullptr) fault_->save(a);
-}
-
-void Mesh::load(ckpt::ArchiveReader& a, const PayloadCodec& codec) {
-  for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
-    const auto cls = static_cast<MsgClass>(c);
-    const std::uint64_t bytes = a.u64();
-    const std::uint64_t packets = a.u64();
-    const std::uint64_t hops = a.u64();
-    stats_.set(cls, bytes, packets, hops);
-  }
-  for (std::uint64_t& s : tile_seq_) s = a.u64();
-  last_tick_ = a.u64();
-  in_flight_ = a.u64();
-  const std::uint64_t tiles = a.u64();
-  GLOCKS_CHECK(tiles == nics_.size(),
-               "checkpoint mesh has " << tiles << " tiles, machine has "
-                                      << nics_.size());
-  for (Nic& nic : nics_) {
-    for (auto& outbox : nic.outbox) {
-      for (std::size_t i = 0; i < outbox.size(); ++i) codec.drop(outbox[i]);
-      outbox.clear();
-      const std::uint64_t n = a.u64();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        outbox.push_back(load_packet(a, codec));
-      }
-    }
-  }
-  for (const auto& r : routers_) r->load(a, codec);
-  if (fault_ != nullptr) fault_->load(a);
-  for (std::uint32_t t = 0; t < nics_.size(); ++t) {
-    const auto& outbox = nics_[t].outbox;
-    backlogged_.assign(t, std::any_of(outbox.begin(), outbox.end(),
-                                      [](const auto& q) { return !q.empty(); }));
-    occupied_.assign(t, !routers_[t]->idle());
-  }
 }
 
 std::uint32_t Mesh::hop_distance(CoreId a, CoreId b) const {

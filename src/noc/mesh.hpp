@@ -95,10 +95,9 @@ class Mesh final : public sim::Component {
 
   /// Serializes the whole network: traffic counters, sequence counters,
   /// NIC outboxes and every router's queues (payloads drained to portable
-  /// form via `codec`). The NIC and router worklists are derived state:
-  /// load() rebuilds them.
-  void save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const;
-  void load(ckpt::ArchiveReader& a, const PayloadCodec& codec);
+  /// form via `save_payload`). The NIC and router worklists are derived
+  /// state and stay out of the archive.
+  void save(ckpt::ArchiveWriter& a, const PayloadSaver& save_payload) const;
 
  private:
   struct Nic {

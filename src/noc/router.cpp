@@ -159,74 +159,32 @@ bool Router::tick(Cycle now) {
 }
 
 void save_packet(ckpt::ArchiveWriter& a, const Packet& p,
-                 const PayloadCodec& codec) {
+                 const PayloadSaver& save_payload) {
   a.u32(p.src);
   a.u32(p.dst);
   a.u8(static_cast<std::uint8_t>(p.cls));
   a.u8(static_cast<std::uint8_t>(p.kind));
   a.u32(p.size_bytes);
   a.u64(p.seq);
-  codec.save(a, p);
+  save_payload(a, p);
 }
 
-Packet load_packet(ckpt::ArchiveReader& a, const PayloadCodec& codec) {
-  Packet p;
-  p.src = a.u32();
-  p.dst = a.u32();
-  p.cls = static_cast<MsgClass>(a.u8());
-  p.kind = static_cast<PayloadKind>(a.u8());
-  p.size_bytes = a.u32();
-  p.seq = a.u64();
-  codec.load(a, p);
-  return p;
-}
-
-void Router::save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const {
+void Router::save(ckpt::ArchiveWriter& a,
+                  const PayloadSaver& save_payload) const {
   for (const auto& q : in_) {
     a.u64(q.size());
     for (std::size_t i = 0; i < q.size(); ++i) {
       a.u64(q[i].ready);
-      save_packet(a, q[i].pkt, codec);
+      save_packet(a, q[i].pkt, save_payload);
     }
   }
   a.u64(local_out_.size());
   for (std::size_t i = 0; i < local_out_.size(); ++i) {
     a.u64(local_out_[i].ready);
-    save_packet(a, local_out_[i].pkt, codec);
+    save_packet(a, local_out_[i].pkt, save_payload);
   }
   a.u32(rr_);
   a.u32(occupancy_);
-}
-
-void Router::load(ckpt::ArchiveReader& a, const PayloadCodec& codec) {
-  nonempty_ = 0;
-  for (std::size_t s = 0; s < kSlots; ++s) {
-    auto& q = in_[s];
-    for (std::size_t i = 0; i < q.size(); ++i) codec.drop(q[i].pkt);
-    q.clear();
-    const std::uint64_t n = a.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Timed t;
-      t.ready = a.u64();
-      t.pkt = load_packet(a, codec);
-      q.push_back(std::move(t));
-    }
-    if (n != 0) nonempty_ |= 1u << s;
-  }
-  for (std::size_t i = 0; i < local_out_.size(); ++i) {
-    codec.drop(local_out_[i].pkt);
-  }
-  local_out_.clear();
-  const std::uint64_t n = a.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Timed t;
-    t.ready = a.u64();
-    t.pkt = load_packet(a, codec);
-    local_out_.push_back(std::move(t));
-  }
-  rr_ = a.u32();
-  occupancy_ = a.u32();
-  next_ready_ = 0;  // derived: the first tick after a restore recomputes it
 }
 
 }  // namespace glocks::noc

@@ -30,7 +30,6 @@
 
 namespace glocks::ckpt {
 class ArchiveWriter;
-class ArchiveReader;
 }  // namespace glocks::ckpt
 
 namespace glocks::noc {
@@ -66,25 +65,16 @@ struct RouterTiming {
   std::uint32_t input_queue_depth = 16;
 };
 
-/// Serializes/deserializes the opaque payload a Packet carries. The NoC
+/// Writes the opaque payload a Packet carries in portable form. The NoC
 /// cannot interpret `Packet::payload` itself (the pointee lives in a
 /// typed pool owned by the memory hierarchy), so whoever owns the pools
-/// supplies the codec: `save` drains the pointee to portable bytes,
-/// `load` re-acquires a pool node and installs the pointer. Both are
-/// keyed off the packet's PayloadKind tag.
-struct PayloadCodec {
-  std::function<void(ckpt::ArchiveWriter&, const Packet&)> save;
-  std::function<void(ckpt::ArchiveReader&, Packet&)> load;
-  /// Releases a live payload back to its pool; load() calls this on
-  /// every packet it is about to discard so node accounting stays exact.
-  std::function<void(Packet&)> drop;
-};
+/// supplies this hook, keyed off the packet's PayloadKind tag.
+using PayloadSaver = std::function<void(ckpt::ArchiveWriter&, const Packet&)>;
 
 /// Portable packet encoding: every field except the raw payload pointer,
-/// then the payload bytes via the codec.
+/// then the payload bytes via `save_payload`.
 void save_packet(ckpt::ArchiveWriter& a, const Packet& p,
-                 const PayloadCodec& codec);
-Packet load_packet(ckpt::ArchiveReader& a, const PayloadCodec& codec);
+                 const PayloadSaver& save_payload);
 
 /// Hooks the router consults when the mesh fault domain is enabled
 /// (faults-off runs carry a null pointer and take the exact baseline
@@ -182,11 +172,10 @@ class Router {
 
   /// Serializes queue contents (front-to-back, with ready cycles), the
   /// round-robin pointer, and the occupancy counter. Payload pointees go
-  /// through `codec`; geometry/wiring is reconstructed by the builder.
-  /// The ready bound and the non-empty mask are derived: load() rebuilds
-  /// the mask and resets the bound to 0 (due at once).
-  void save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const;
-  void load(ckpt::ArchiveReader& a, const PayloadCodec& codec);
+  /// through `save_payload`; geometry/wiring is reconstructed by the
+  /// builder. The ready bound and the non-empty mask are derived from the
+  /// queues and stay out of the archive.
+  void save(ckpt::ArchiveWriter& a, const PayloadSaver& save_payload) const;
 
  private:
   struct Timed {

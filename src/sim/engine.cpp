@@ -241,36 +241,4 @@ void Engine::save(ckpt::ArchiveWriter& a) const {
   a.u64(perf_.wakes_scheduled);
 }
 
-void Engine::load(ckpt::ArchiveReader& a) {
-  now_ = a.u64();
-  const auto mode = static_cast<EngineMode>(a.u8());
-  GLOCKS_CHECK(mode == mode_,
-               "checkpoint engine mode does not match this engine");
-  const std::uint64_t n = a.u64();
-  GLOCKS_CHECK(n == slots_.size(),
-               "checkpoint slot count " << n << " != registered "
-                                        << slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    active_.assign(i, a.b());
-    slots_[i].last_tick = a.u64();
-    slots_[i].last_wake = a.u64();
-    slot_perf_[i].ticks = a.u64();
-    slot_perf_[i].wakes = a.u64();
-  }
-  wakes_.clear();
-  const std::uint64_t nw = a.u64();
-  wakes_.reserve(nw);
-  for (std::uint64_t i = 0; i < nw; ++i) {
-    const Cycle at = a.u64();
-    const std::uint32_t slot = a.u32();
-    GLOCKS_CHECK(slot < slots_.size(), "wake for out-of-range slot");
-    // Sorted ascending on (at, slot) is a valid min-heap layout as-is.
-    wakes_.push_back(Wake{at, slot});
-  }
-  perf_.ticks_executed = a.u64();
-  // clock_jumps / ticks_skipped / cycles_stepped / cycles_skipped keep
-  // their current values (see save()).
-  perf_.wakes_scheduled = a.u64();
-}
-
 }  // namespace glocks::sim

@@ -39,7 +39,6 @@
 
 namespace glocks::ckpt {
 class ArchiveWriter;
-class ArchiveReader;
 }  // namespace glocks::ckpt
 
 namespace glocks::sim {
@@ -151,9 +150,6 @@ class Engine {
   /// sorted), and the perf counters — as one archive-section payload.
   /// Components themselves are not owned here; they save separately.
   void save(ckpt::ArchiveWriter& a) const;
-  /// Inverse of save(); the same components must already be registered
-  /// (load restores scheduling state, not the component roster).
-  void load(ckpt::ArchiveReader& a);
 
  private:
   friend class Component;
@@ -194,9 +190,8 @@ class Engine {
   /// Pending wakes; min-heap via std::push_heap/pop_heap.
   std::vector<Wake> wakes_;
   /// The active set, one bit per slot and the only record of which
-  /// slots are awake: save() writes it, load() rebuilds it, the dormancy
-  /// report reads it. Event mode's step() visits its set bits in slot
-  /// order.
+  /// slots are awake: save() writes it, the dormancy report reads it.
+  /// Event mode's step() visits its set bits in slot order.
   common::WordBitset active_;
   /// Scan cursor: while step() is walking the slots, wakes for the
   /// current cycle targeting a slot at or before the cursor have missed

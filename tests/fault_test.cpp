@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/archive.hpp"
 #include "common/check.hpp"
 #include "common/config.hpp"
 #include "core/thread.hpp"
@@ -496,8 +495,7 @@ TEST_F(GuardedUnitFixture, AllWiresStuckDemotesTheGlock) {
 // (cycle, core), the G-line counters and the reconciled fault ledger,
 // recorded from the tick-every-channel units, for the flat (32 cores)
 // and hierarchical (64 cores, group 6) trees under four fault plans —
-// hand-ticked every cycle, registered with the event-driven engine, and
-// rewound to a mid-run checkpoint and replayed.
+// hand-ticked every cycle and registered with the event-driven engine.
 
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 
@@ -510,8 +508,7 @@ void fold(std::uint64_t& h, std::uint64_t v) {
 
 /// Cores contending for two GLocks (core % 2): each thinks, requests,
 /// holds the lock a few cycles once its request register clears, then
-/// releases, for kRounds rounds. Plain values throughout, so a rewind
-/// restores it by copying.
+/// releases, for kRounds rounds.
 struct Contenders {
   static constexpr std::uint32_t kRounds = 12;
   enum Phase : std::uint8_t { kThink, kWait, kHold, kRelease, kDone };
@@ -597,7 +594,6 @@ void PrintTo(const DigestCase& c, std::ostream* os) { *os << c.name; }
 class GuardedDigest : public ::testing::TestWithParam<DigestCase> {
  protected:
   static constexpr Cycle kLimit = 400000;
-  static constexpr Cycle kRewindAt = 700;
 
   void SetUp() override {
     cfg_.num_cores = GetParam().hierarchical ? 64 : 32;
@@ -634,30 +630,8 @@ class GuardedDigest : public ::testing::TestWithParam<DigestCase> {
     return h;
   }
 
-  struct Snapshot {
-    std::vector<std::uint8_t> bytes;
-    Contenders drv;
-    std::vector<core::LockRegisters> regs;
-  };
-  Snapshot snapshot(sim::Engine* engine) {
-    ckpt::ArchiveWriter w;
-    w.begin_section(1);
-    if (engine != nullptr) engine->save(w);
-    sys_->save(w);
-    w.end_section();
-    return {w.buffer(), drv_, regs_};
-  }
-  void restore(const Snapshot& s, sim::Engine* engine) {
-    ckpt::ArchiveReader r(s.bytes);
-    ASSERT_TRUE(r.next_section());
-    if (engine != nullptr) engine->load(r);
-    sys_->load(r);
-    drv_ = s.drv;
-    for (std::size_t c = 0; c < regs_.size(); ++c) regs_[c] = s.regs[c];
-  }
-
-  Cycle run_by_hand(Cycle from) {
-    Cycle now = from;
+  Cycle run_by_hand() {
+    Cycle now = 0;
     for (; !drv_.done() && now < kLimit; ++now) {
       drv_.tick(now, regs_);
       sys_->tick(now);
@@ -674,19 +648,10 @@ class GuardedDigest : public ::testing::TestWithParam<DigestCase> {
 };
 
 TEST_P(GuardedDigest, HandTicked) {
-  Cycle now = 0;
-  for (; now < kRewindAt; ++now) {
-    drv_.tick(now, regs_);
-    sys_->tick(now);
-  }
-  const Snapshot snap = snapshot(nullptr);
-  const std::uint64_t straight = finish(run_by_hand(now));
-  EXPECT_EQ(straight, GetParam().digest);
+  EXPECT_EQ(finish(run_by_hand()), GetParam().digest);
   if (std::string(GetParam().name).find("stuck") != std::string::npos) {
     EXPECT_GT(demotions_, 0u) << "the plan must demote a GLock";
   }
-  restore(snap, nullptr);
-  EXPECT_EQ(finish(run_by_hand(kRewindAt)), straight) << "after rewind";
 }
 
 TEST_P(GuardedDigest, EngineRegistered) {
@@ -695,14 +660,7 @@ TEST_P(GuardedDigest, EngineRegistered) {
   engine.add(slot, "contenders");
   engine.add(*sys_, "glines");
   const auto done = [this] { return drv_.done(); };
-  engine.run_until_or_pause(done, kLimit, kRewindAt);
-  ASSERT_EQ(engine.now(), kRewindAt);
-  const Snapshot snap = snapshot(&engine);
-  const std::uint64_t straight = finish(engine.run_until(done, kLimit));
-  EXPECT_EQ(straight, GetParam().digest);
-  restore(snap, &engine);
-  EXPECT_EQ(finish(engine.run_until(done, kLimit)), straight)
-      << "after rewind";
+  EXPECT_EQ(finish(engine.run_until(done, kLimit)), GetParam().digest);
 }
 
 constexpr const char* kArq = "drop=0.02,garble=0.02,delay=0.02,seed=3";

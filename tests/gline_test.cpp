@@ -216,9 +216,15 @@ TEST(GlineSystem, OverWideMeshAtUnitLatencyBuildsTheTree) {
   }
   std::vector<glocks::core::LockRegisters*> ptrs;
   for (auto& r : regs) ptrs.push_back(&r);
-  EXPECT_TRUE(GlineSystem(cfg, ptrs).hierarchical());  // scaling path 2
-  cfg.gline.signal_latency = 2;  // scaling path 1: longer wires, flat
-  EXPECT_FALSE(GlineSystem(cfg, ptrs).hierarchical());
+  // The guarded (fault-mode) transport follows the same reach rule.
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "guarded" : "clean");
+    cfg.fault.enabled = faults;
+    cfg.gline.signal_latency = 1;
+    EXPECT_TRUE(GlineSystem(cfg, ptrs).hierarchical());  // scaling path 2
+    cfg.gline.signal_latency = 2;  // scaling path 1: longer wires, flat
+    EXPECT_FALSE(GlineSystem(cfg, ptrs).hierarchical());
+  }
 }
 
 TEST(CostModel, MatchesTable1Formulas) {
