@@ -20,9 +20,7 @@
 #   OLD_BUILD, NEW_BUILD  CMake build trees with glocksim built
 #   GLOCKSIM_ARGS         one glocksim run (no --checkpoint-every or
 #                         --checkpoint-dir), e.g. --workload SCTR --csv
-#   EVERY=N               checkpoint period in cycles (default 10000; a
-#                         checkpoint holds every cache, about 0.4 MB
-#                         per core)
+#   EVERY=N               checkpoint period in cycles (default 10000)
 #   OUT=DIR               keep checkpoints and outputs in DIR (default: a
 #                         temp dir, removed on exit)
 # Exit status: 0 no divergence, 1 divergence found, 2 a run or restore

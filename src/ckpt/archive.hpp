@@ -23,9 +23,12 @@ namespace glocks::ckpt {
 
 /// Current archive format version. Bump on any incompatible layout
 /// change; readers reject anything newer than this.
-inline constexpr std::uint32_t kFormatVersion = 8;
+inline constexpr std::uint32_t kFormatVersion = 9;
 
-/// Oldest version this build still reads. v8 dropped the mesh's analytic
+/// Oldest version this build still reads. v9 made the cache images in
+/// the hierarchy section sparse: each L1 and L2 slice writes only the
+/// sets it has touched, and each directory only its nonzero end-to-end
+/// request ids. v8 dropped the mesh's analytic
 /// fast-forward path: its flag left the run spec, and its counters and
 /// virtual packets left the mesh section. v7 dropped the intra-run
 /// parallel execution fields (host thread count, lookahead window, tile
@@ -35,7 +38,7 @@ inline constexpr std::uint32_t kFormatVersion = 8;
 /// parked flag and the spun-on address. Older archives would parse into
 /// garbage, so they get a clean up-front rejection instead of a confusing
 /// mid-parse kTruncated/kBadSection failure.
-inline constexpr std::uint32_t kMinFormatVersion = 8;
+inline constexpr std::uint32_t kMinFormatVersion = 9;
 
 /// 8-byte file magic.
 inline constexpr char kMagic[8] = {'G', 'L', 'K', 'C', 'K', 'P', 'T', '\n'};

@@ -13,9 +13,8 @@
 // mismatch is a kStateDivergence error naming the first differing
 // section; a verified restore then runs on to completion and returns a
 // RunResult bit-identical to an uninterrupted run. The machine sections
-// are still real state (component save/load pairs are exercised directly
-// by tests/ckpt_test.cpp); at system level they are the divergence
-// oracle and the forensic record of the paused machine.
+// are written by each component's save() and never read back: they are
+// the divergence oracle and the forensic record of the paused machine.
 #pragma once
 
 #include <cstdint>

@@ -138,7 +138,7 @@ void GuardedGlockUnit::tick_leaf(Leaf& lf, Cycle now) {
   (void)now;
 }
 
-void GuardedGlockUnit::tick_mgr(Mgr& m, Cycle now) {
+void GuardedGlockUnit::tick_mgr(Mgr& m) {
   // Absorb child symbols. Reliable delivery makes these exact (no toggle
   // ambiguity): a REQ always means "child wants the token".
   Sym s;
@@ -258,7 +258,7 @@ void GuardedGlockUnit::tick(Cycle now) {
     live_.reset(i);
   });
   for (auto& lf : leaves_) tick_leaf(lf, now);
-  for (auto& m : mgrs_) tick_mgr(m, now);
+  for (auto& m : mgrs_) tick_mgr(m);
   if (failing_) try_demote(now);
 
   next_tick_ = *std::min_element(due_.begin(), due_.end());

@@ -109,7 +109,7 @@ class GuardedGlockUnit {
   FramedChannel& child_channel(Mgr& m, std::uint32_t i);
   const FramedChannel& child_channel(const Mgr& m, std::uint32_t i) const;
   void tick_leaf(Leaf& lf, Cycle now);
-  void tick_mgr(Mgr& m, Cycle now);
+  void tick_mgr(Mgr& m);
   /// True when tick_mgr, run again with no new input, would change
   /// nothing (the round robin can take two passes to grant or re-request).
   bool mgr_settled(const Mgr& m) const;

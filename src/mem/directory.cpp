@@ -16,9 +16,7 @@ DirSlice::DirSlice(CoreId tile, std::uint32_t num_cores, const L2Config& cfg,
       transport_(transport),
       memory_(memory),
       engine_(engine),
-      num_sets_(cfg.num_sets()),
-      l2_sets_(num_sets_, std::vector<L2Entry>(cfg.ways)),
-      last_done_(num_cores, 0) {}
+      l2_(cfg.num_sets(), cfg.ways) {}
 
 DirSlice::DirEntry& DirSlice::entry(Addr line) {
   auto [it, inserted] = dir_.try_emplace(line);
@@ -43,51 +41,32 @@ std::uint32_t DirSlice::probe_sharers(Addr line) const {
 }
 
 const LineData* DirSlice::probe_l2_data(Addr line) const {
-  const auto& set = l2_sets_[line % num_sets_];
-  for (const auto& e : set) {
-    if (e.valid && e.line == line) return &e.data;
-  }
-  return nullptr;
-}
-
-DirSlice::L2Entry* DirSlice::l2_find(Addr line) {
-  auto& set = l2_sets_[line % num_sets_];
-  for (auto& e : set) {
-    if (e.valid && e.line == line) return &e;
-  }
-  return nullptr;
+  const L2Entry* e = l2_.find(line);
+  return e == nullptr ? nullptr : &e->data;
 }
 
 void DirSlice::l2_install(Addr line, const LineData& data, bool dirty,
                           Cycle now) {
-  if (L2Entry* e = l2_find(line)) {
+  if (L2Entry* e = l2_.find(line)) {
     e->data = data;
     e->dirty = e->dirty || dirty;
     e->lru = now;
     return;
   }
-  auto& set = l2_sets_[line % num_sets_];
-  L2Entry* victim = nullptr;
-  for (auto& e : set) {
-    if (!e.valid) {
-      victim = &e;
-      break;
-    }
-    if (victim == nullptr || e.lru < victim->lru) victim = &e;
-  }
-  if (victim->valid && victim->dirty) {
+  L2Entry& victim = l2_.victim(line);
+  if (victim.valid && victim.dirty) {
     ++stats_.memory_writebacks;
-    memory_.write_line(victim->line, victim->data);
+    memory_.write_line(victim.line, victim.data);
   }
-  victim->valid = true;
-  victim->line = line;
-  victim->data = data;
-  victim->dirty = dirty;
-  victim->lru = now;
+  victim.valid = true;
+  victim.line = line;
+  victim.data = data;
+  victim.dirty = dirty;
+  victim.lru = now;
 }
 
 std::pair<Cycle, LineData> DirSlice::read_line_data(Addr line, Cycle now) {
-  if (L2Entry* e = l2_find(line)) {
+  if (L2Entry* e = l2_.find(line)) {
     ++stats_.l2_hits;
     e->lru = now;
     return {cfg_.data_latency, e->data};
@@ -125,7 +104,10 @@ bool DirSlice::is_duplicate_request(const CohMsg& m) const {
   // request at or below it is a stale ARQ copy — not just the equal one:
   // a delayed watchdog retry can arrive after the same core has already
   // completed a *later* request at this home slice.
-  if (m.req_id != 0 && m.req_id <= last_done_[m.sender]) return true;
+  if (m.req_id != 0 && !last_done_.empty() &&
+      m.req_id <= last_done_[m.sender]) {
+    return true;
+  }
   if (auto it = txns_.find(m.line);
       it != txns_.end() && it->second.requester == m.sender &&
       it->second.req_id == m.req_id) {
@@ -269,6 +251,7 @@ void DirSlice::finish_read_phase(Addr line, Txn& txn, Cycle now) {
 void DirSlice::complete_txn(Addr line, Cycle now) {
   if (auto it = txns_.find(line);
       it != txns_.end() && it->second.req_id != 0) {
+    if (last_done_.empty()) last_done_.assign(num_cores_, 0);
     last_done_[it->second.requester] = it->second.req_id;
   }
   txns_.erase(line);
@@ -419,15 +402,13 @@ void DirSlice::tick(Cycle now) {
 
 
 void DirSlice::save(ckpt::ArchiveWriter& a) const {
-  for (const auto& set : l2_sets_) {
-    for (const L2Entry& e : set) {
-      a.b(e.valid);
-      a.u64(e.line);
-      for (Word w : e.data) a.u64(w);
-      a.b(e.dirty);
-      a.u64(e.lru);
-    }
-  }
+  l2_.save(a, [&a](const L2Entry& e) {
+    a.b(e.valid);
+    a.u64(e.line);
+    for (Word w : e.data) a.u64(w);
+    a.b(e.dirty);
+    a.u64(e.lru);
+  });
   auto sorted_keys = [](const auto& map) {
     std::vector<Addr> keys;
     keys.reserve(map.size());
@@ -485,7 +466,15 @@ void DirSlice::save(ckpt::ArchiveWriter& a) const {
   a.u64(stats_.memory_writebacks);
   a.u64(stats_.deferred_requests);
   a.u64(stats_.dup_requests);
-  for (std::uint64_t v : last_done_) a.u64(v);
+  const auto tagged = static_cast<std::uint32_t>(
+      std::count_if(last_done_.begin(), last_done_.end(),
+                    [](std::uint64_t id) { return id != 0; }));
+  a.u32(tagged);
+  for (CoreId c = 0; c < last_done_.size(); ++c) {
+    if (last_done_[c] == 0) continue;
+    a.u32(c);
+    a.u64(last_done_[c]);
+  }
 }
 
 }  // namespace glocks::mem

@@ -24,6 +24,7 @@
 #include "mem/backing_store.hpp"
 #include "mem/l1_cache.hpp"
 #include "mem/protocol.hpp"
+#include "mem/set_assoc.hpp"
 #include "mem/sharer_set.hpp"
 #include "sim/engine.hpp"
 
@@ -122,7 +123,6 @@ class DirSlice final : public sim::Component {
   };
 
   DirEntry& entry(Addr line);
-  L2Entry* l2_find(Addr line);
   void l2_install(Addr line, const LineData& data, bool dirty, Cycle now);
   /// Returns (latency, data) for reading `line`'s current memory-system
   /// copy; installs into L2 on a memory fetch.
@@ -146,8 +146,7 @@ class DirSlice final : public sim::Component {
   Transport& transport_;
   BackingStore& memory_;
   const sim::Engine& engine_;
-  std::uint32_t num_sets_;
-  std::vector<std::vector<L2Entry>> l2_sets_;
+  SetAssoc<L2Entry> l2_;
   std::unordered_map<Addr, DirEntry> dir_;
   std::unordered_map<Addr, Txn> txns_;
   std::unordered_map<Addr, std::deque<CohMsgPtr>> deferred_;
@@ -156,6 +155,8 @@ class DirSlice final : public sim::Component {
   std::unordered_map<Addr, LineData> read_buf_;
   /// Last completed tagged request id per requester (e2e retry dedup; a
   /// core's single MSHR means one outstanding id, so one slot suffices).
+  /// Only the mesh fault domain tags requests, so this stays empty until
+  /// the first tagged completion sizes it to num_cores_.
   std::vector<std::uint64_t> last_done_;
   DirStats stats_;
 };

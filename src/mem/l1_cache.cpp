@@ -14,23 +14,10 @@ L1Cache::L1Cache(CoreId core, const L1Config& cfg, const AddressMap& amap,
       amap_(amap),
       transport_(transport),
       engine_(engine),
-      num_sets_(cfg.num_sets()),
-      sets_(num_sets_, std::vector<Entry>(cfg.ways)) {}
-
-L1Cache::Entry* L1Cache::find(Addr line) {
-  auto& set = sets_[line % num_sets_];
-  for (auto& e : set) {
-    if (e.valid && e.line == line) return &e;
-  }
-  return nullptr;
-}
-
-const L1Cache::Entry* L1Cache::find(Addr line) const {
-  return const_cast<L1Cache*>(this)->find(line);
-}
+      sets_(cfg.num_sets(), cfg.ways) {}
 
 char L1Cache::probe_state(Addr line) const {
-  const Entry* e = find(line);
+  const Entry* e = sets_.find(line);
   if (e == nullptr) return 'I';
   switch (e->state) {
     case LineState::kM: return 'M';
@@ -41,7 +28,7 @@ char L1Cache::probe_state(Addr line) const {
 }
 
 const LineData* L1Cache::probe_owned_data(Addr line) const {
-  const Entry* e = find(line);
+  const Entry* e = sets_.find(line);
   if (e != nullptr && e->state != LineState::kS) return &e->data;
   return nullptr;
 }
@@ -183,29 +170,27 @@ void L1Cache::complete_with_line(Entry& e, Cycle now) {
   p.done(result);
 }
 
-L1Cache::Entry& L1Cache::victimize(Addr incoming_line, Cycle now) {
-  auto& set = sets_[incoming_line % num_sets_];
-  Entry* victim = nullptr;
-  for (auto& e : set) {
-    if (!e.valid) return e;
-    if (victim == nullptr || e.lru < victim->lru) victim = &e;
-  }
+L1Cache::Entry& L1Cache::victimize(Addr incoming_line) {
+  Entry& victim = sets_.victim(incoming_line);
+  if (!victim.valid) return victim;
   // Dirty (or exclusive-clean) victims must reach the home: a silent E
-  // drop would leave the directory believing we own the line.
-  if (victim->state != LineState::kS) {
+  // drop would leave the directory believing we own the line. The PutM
+  // only queues (a same-tile home takes it into its inbox), so nothing
+  // touches this cache's sets while `victim` is held.
+  if (victim.state != LineState::kS) {
     ++stats_.writebacks;
-    wb_buffer_.push_back(WbEntry{victim->line, victim->data});
-    send_to_home(victim->line, CohType::kPutM, &victim->data);
+    wb_buffer_.push_back(WbEntry{victim.line, victim.data});
+    send_to_home(victim.line, CohType::kPutM, &victim.data);
   }
-  victim->valid = false;
-  (void)now;
-  return *victim;
+  victim.valid = false;
+  return victim;
 }
 
 void L1Cache::install(Addr line, const LineData& data, LineState st,
                       Cycle now) {
-  GLOCKS_CHECK(find(line) == nullptr, "installing already-present line");
-  Entry& slot = victimize(line, now);
+  GLOCKS_CHECK(sets_.find(line) == nullptr,
+               "installing already-present line");
+  Entry& slot = victimize(line);
   slot.valid = true;
   slot.line = line;
   slot.state = st;
@@ -221,7 +206,7 @@ void L1Cache::handle_msg(CohMsg& msg, Cycle now) {
       GLOCKS_CHECK(pending_ && pending_->request_sent &&
                        line_of(pending_->op.addr) == line,
                    "data response with no matching MSHR at core " << core_);
-      GLOCKS_CHECK(find(line) == nullptr,
+      GLOCKS_CHECK(sets_.find(line) == nullptr,
                    "data response for a line already present");
       const bool needs_excl = pending_->op.type != MemOp::Type::kLoad;
       GLOCKS_CHECK(!needs_excl || msg.exclusive,
@@ -236,11 +221,11 @@ void L1Cache::handle_msg(CohMsg& msg, Cycle now) {
                    "a forward can only chase an exclusive grant");
       const LineState st = msg.exclusive ? LineState::kE : LineState::kS;
       install(line, msg.data, st, now);
-      complete_with_line(*find(line), now);
+      complete_with_line(*sets_.find(line), now);
       if (drop_after_fill) {
         // The load's value was legal at grant time; the copy is already
         // logically invalid (we acked the Inv), so drop it now.
-        Entry* e = find(line);
+        Entry* e = sets_.find(line);
         GLOCKS_CHECK(e != nullptr && e->state == LineState::kS,
                      "invalidate-on-fill lost its line");
         e->valid = false;
@@ -255,7 +240,7 @@ void L1Cache::handle_msg(CohMsg& msg, Cycle now) {
       GLOCKS_CHECK(!pending_->upgrade_invalidated,
                    "AckComplete after the S copy was invalidated — the home "
                    "must escalate to a data response");
-      Entry* e = find(line);
+      Entry* e = sets_.find(line);
       GLOCKS_CHECK(e != nullptr && e->state == LineState::kS,
                    "AckComplete but line not Shared");
       e->state = LineState::kM;
@@ -264,7 +249,7 @@ void L1Cache::handle_msg(CohMsg& msg, Cycle now) {
     }
     case CohType::kInv: {
       ++stats_.invalidations_received;
-      if (Entry* e = find(line)) {
+      if (Entry* e = sets_.find(line)) {
         GLOCKS_CHECK(e->state == LineState::kS,
                      "Inv hit a line in state " << static_cast<int>(e->state));
         e->valid = false;
@@ -289,7 +274,7 @@ void L1Cache::handle_msg(CohMsg& msg, Cycle now) {
       ++stats_.forwards_served;
       const bool is_getx = msg.type == CohType::kFwdGetX;
       const LineData* data = nullptr;
-      Entry* e = find(line);
+      Entry* e = sets_.find(line);
       if (e != nullptr) {
         GLOCKS_CHECK(e->state != LineState::kS,
                      "forward hit a Shared line at core " << core_);
@@ -356,7 +341,7 @@ bool L1Cache::park(Addr addr, Callback done, UnparkFn unparked) {
   }
   GLOCKS_CHECK(!pending_.has_value() && !watch_.has_value(),
                "core " << core_ << " parked with an op or a park in flight");
-  GLOCKS_CHECK(find(line_of(addr)) != nullptr,
+  GLOCKS_CHECK(sets_.find(line_of(addr)) != nullptr,
                "core " << core_ << " parked on non-resident line "
                        << line_of(addr));
   // The replay assumes every elided iteration takes exactly the hit
@@ -398,7 +383,7 @@ void L1Cache::unpark(Cycle now, bool by_inv) {
   // still in lookup, and this cycle's message reaches the line first.
   const std::uint64_t k = (now - w.since - 1) / w.period;
   const Cycle issued = w.since + k * w.period;
-  Entry* e = find(line_of(w.addr));
+  Entry* e = sets_.find(line_of(w.addr));
   GLOCKS_CHECK(e != nullptr, "core " << core_ << " lost watched line "
                                      << line_of(w.addr));
   e->lru = issued;
@@ -442,7 +427,7 @@ void L1Cache::tick(Cycle now) {
   }
 
   const Addr line = line_of(pending_->op.addr);
-  Entry* e = find(line);
+  Entry* e = sets_.find(line);
   const bool is_write = pending_->op.type != MemOp::Type::kLoad;
   if (e != nullptr && (!is_write || e->state != LineState::kS)) {
     ++stats_.hits;
@@ -474,15 +459,13 @@ void L1Cache::tick(Cycle now) {
 
 
 void L1Cache::save(ckpt::ArchiveWriter& a) const {
-  for (const auto& set : sets_) {
-    for (const Entry& e : set) {
-      a.b(e.valid);
-      a.u64(e.line);
-      a.u8(static_cast<std::uint8_t>(e.state));
-      for (Word w : e.data) a.u64(w);
-      a.u64(e.lru);
-    }
-  }
+  sets_.save(a, [&a](const Entry& e) {
+    a.b(e.valid);
+    a.u64(e.line);
+    a.u8(static_cast<std::uint8_t>(e.state));
+    for (Word w : e.data) a.u64(w);
+    a.u64(e.lru);
+  });
   a.b(pending_.has_value());
   if (pending_.has_value()) {
     const Pending& p = *pending_;

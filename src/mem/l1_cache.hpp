@@ -23,6 +23,7 @@
 #include "common/types.hpp"
 #include "mem/address_map.hpp"
 #include "mem/protocol.hpp"
+#include "mem/set_assoc.hpp"
 #include "sim/engine.hpp"
 
 namespace glocks::mem {
@@ -216,9 +217,7 @@ class L1Cache final : public sim::Component {
     CohMsgPtr msg;
   };
 
-  Entry* find(Addr line);
-  const Entry* find(Addr line) const;
-  Entry& victimize(Addr incoming_line, Cycle now);
+  Entry& victimize(Addr incoming_line);
   void install(Addr line, const LineData& data, LineState st, Cycle now);
   void complete_with_line(Entry& e, Cycle now);
   void send_to_home(Addr line, CohType type, const LineData* data = nullptr,
@@ -242,8 +241,7 @@ class L1Cache final : public sim::Component {
   const AddressMap& amap_;
   Transport& transport_;
   const sim::Engine& engine_;
-  std::uint32_t num_sets_;
-  std::vector<std::vector<Entry>> sets_;
+  SetAssoc<Entry> sets_;
   std::optional<Pending> pending_;
   std::deque<WbEntry> wb_buffer_;
   std::deque<Inbox> inbox_;

@@ -8,7 +8,11 @@
 // Layer 2: the RunSpec codec in the META section — the only machine
 // description a restore reads back (machine state is replayed, never
 // loaded; tests/ckpt_equivalence_test.cpp covers that path).
+//
+// Layer 3: the size of a whole-machine checkpoint, which tracks the
+// cache sets a run has touched rather than the machine's capacity.
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -116,14 +120,15 @@ TEST(Archive, OlderVersionRejectedUpFront) {
   // per-field gates, so an archive from an older build must be refused
   // cleanly at the header — not fail mid-parse with kTruncated or
   // kBadSection after consuming unrelated bytes as mesh config. v7
-  // archives still carry the mesh fast-forward flag and state v8 dropped.
-  static_assert(ckpt::kMinFormatVersion > 7,
-                "v7 archives must be refused as an older format");
+  // archives still carry the mesh fast-forward flag and state v8 dropped;
+  // v8 archives hold every cache way, where v9 holds only touched sets.
+  static_assert(ckpt::kMinFormatVersion > 8,
+                "v8 archives must be refused as an older format");
   ArchiveWriter w;
   w.begin_section(1);
   w.u8(1);
   w.end_section();
-  for (const std::uint32_t older : {ckpt::kMinFormatVersion - 1, 7u}) {
+  for (const std::uint32_t older : {ckpt::kMinFormatVersion - 1, 7u, 8u}) {
     SCOPED_TRACE(::testing::Message() << "version " << older);
     std::vector<std::uint8_t> bytes = w.buffer();
     for (int i = 0; i < 4; ++i) {
@@ -263,6 +268,29 @@ TEST(RunSpecCkpt, MissingFileIsIoError) {
               ckpt::read_checkpoint_meta("/nonexistent/nope.ckpt");
             }),
             CkptError::Code::kIo);
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint size: caches write only the sets the run has touched.
+
+TEST(CkptSize, TracksTouchedSetsNotCapacity) {
+  // A 64-core machine holds 64 x (512 L1 + 4096 L2) ways, about 24 MB
+  // when every way is written. By cycle 2000 SCTR under GLock has
+  // touched a few lines per tile: 68,839 bytes when this bound was
+  // recorded. The bound leaves a little headroom, so any return to
+  // writing whole caches fails here.
+  ckpt::RunSpec spec;
+  spec.workload = "SCTR";
+  spec.scale = 0.1;
+  spec.cmp.num_cores = 64;
+  spec.policy.highly_contended = locks::LockKind::kGlock;
+  std::vector<std::string> written;
+  ckpt::run_with_checkpoints(spec, {2000}, ::testing::TempDir(), &written);
+  ASSERT_EQ(written.size(), 1u);
+  const auto bytes = std::filesystem::file_size(written.front());
+  std::filesystem::remove(written.front());
+  constexpr std::uintmax_t kRecordedBound = 72000;
+  EXPECT_LT(bytes, kRecordedBound);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(Config, DefaultsMatchTable2) {
 
 TEST(Config, MeshDimensionsForVariousCoreCounts) {
   CmpConfig cfg;
-  for (const auto [cores, w, h] :
+  for (const auto& [cores, w, h] :
        {std::tuple{1u, 1u, 1u}, {4u, 2u, 2u}, {9u, 3u, 3u}, {16u, 4u, 4u},
         std::tuple{7u, 3u, 3u}, {49u, 7u, 7u}}) {
     cfg.num_cores = cores;

@@ -390,7 +390,9 @@ TEST_P(EveryWorkloadEventVsSerial, EventKernelIsBitIdenticalToSerial) {
   EXPECT_EQ(diff, "") << entry.name << "/" << locks::to_string(lock) << ": "
                       << diff;
   // The comparison must exercise spin parking wherever software spins.
-  if (lock != locks::LockKind::kGlock) EXPECT_GT(counts.parks, 0u);
+  if (lock != locks::LockKind::kGlock) {
+    EXPECT_GT(counts.parks, 0u);
+  }
   // The event kernel's reason to exist, as a count rather than a
   // stopwatch: it ticks at most a tenth of what the serial kernel ticks
   // (the worst point, OCEAN under MCS, runs at 0.062). A kernel that

@@ -54,7 +54,7 @@ class MeshFixture : public ::testing::Test {
 TEST_F(MeshFixture, ZeroLoadLatencyMatchesHopFormula) {
   // inject(1) + hops*(router 3 + link 1) + final router 3.
   const NocConfig cfg;
-  for (const auto [src, dst] : {std::pair<CoreId, CoreId>{0, 1},
+  for (const auto& [src, dst] : {std::pair<CoreId, CoreId>{0, 1},
                                 {0, 3},
                                 {0, 15},
                                 {5, 6},

@@ -86,7 +86,9 @@ TEST(Engine, ComponentSeesMonotonicCycles) {
   struct CycleChecker final : Component {
     Cycle last = kNoCycle;
     void tick(Cycle now) override {
-      if (last != kNoCycle) EXPECT_EQ(now, last + 1);
+      if (last != kNoCycle) {
+        EXPECT_EQ(now, last + 1);
+      }
       last = now;
     }
   };
