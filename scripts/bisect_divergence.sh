@@ -70,18 +70,17 @@ fi
 
 # restore I: NEW restores checkpoint I; sets STATUS to ok, diverged,
 # format or error, and leaves stdout/stderr in $OUT/restore-I.{out,err}.
+# glocksim exits 3 on a format it does not read and 4 on a divergence.
 restore() {
-  local err="$OUT/restore-$1.err"
-  if "$NEW_SIM" --restore "${CKPTS[$1]}" "${FORMAT[@]}" \
-       > "$OUT/restore-$1.out" 2> "$err"; then
-    STATUS=ok
-  elif grep -q "restore divergence" "$err"; then
-    STATUS=diverged
-  elif grep -q "checkpoint format version" "$err"; then
-    STATUS=format
-  else
-    STATUS=error
-  fi
+  local code=0
+  "$NEW_SIM" --restore "${CKPTS[$1]}" "${FORMAT[@]}" \
+      > "$OUT/restore-$1.out" 2> "$OUT/restore-$1.err" || code=$?
+  case "$code" in
+    0) STATUS=ok ;;
+    3) STATUS=format ;;
+    4) STATUS=diverged ;;
+    *) STATUS=error ;;
+  esac
   echo "  cycle $(cycle_of "${CKPTS[$1]}"): $STATUS"
 }
 # Stops on any outcome bisection cannot use.

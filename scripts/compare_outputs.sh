@@ -14,6 +14,10 @@
 #     link death armed (routers skip cycles with no head due there too),
 #     and SCTR under MCS and GLock with the faulted perfbench sweep's
 #     G-line+mesh plan (guarded GLock units sleep between deadlines);
+#   - `glocksim --json` past the single-cycle G-line reach (G-line
+#     latency 1, so the reach-bounded token tree is built): SCTR, RAYTR
+#     and QSORT under GLock at 64 cores, clean and with the faulted
+#     perfbench plan (guarded tree), and RAYTR under GLock at 256 cores;
 #   - a clean and a G-line+mesh-faulted `glocks-sweep` CSV, each at
 #     --jobs 1 and --jobs 4 (the new build's --jobs 1 and --jobs 4 CSVs
 #     must also match each other).
@@ -105,6 +109,16 @@ for lock in mcs glock; do
       --workload SCTR --lock "$lock" --cores 256 --gline-latency 2 \
       --scale 0.1 --faults drop=0.001,noise=0.0001,mesh:rate=0.0005 --json
 done
+
+for w in SCTR RAYTR QSORT; do
+  run_both "glocksim-$w-glock-64.json" src/tools/glocksim \
+      --workload "$w" --lock glock --cores 64 --scale 0.1 --json
+  run_both "glocksim-$w-glock-64-faulted.json" src/tools/glocksim \
+      --workload "$w" --lock glock --cores 64 --scale 0.1 \
+      --faults drop=0.001,noise=0.0001,mesh:rate=0.0005 --json
+done
+run_both "glocksim-RAYTR-glock-256-tree.json" src/tools/glocksim \
+    --workload RAYTR --lock glock --cores 256 --scale 0.1 --json
 
 GRID=(--all --locks mcs,glock --cores 16,32 --seeds 1,2 --scale 0.5)
 FAULTS="drop=1e-3,garble=1e-3,delay=1e-3,noise=1e-4,stuck=1e-4"

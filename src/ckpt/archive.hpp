@@ -23,9 +23,12 @@ namespace glocks::ckpt {
 
 /// Current archive format version. Bump on any incompatible layout
 /// change; readers reject anything newer than this.
-inline constexpr std::uint32_t kFormatVersion = 9;
+inline constexpr std::uint32_t kFormatVersion = 10;
 
-/// Oldest version this build still reads. v9 made the cache images in
+/// Oldest version this build still reads. v10 wrote the G-line lock and
+/// barrier units over their shared token tree: wires or channels per tree
+/// edge in vertex order, then one record per manager node (the flat
+/// primary is now the root node). v9 made the cache images in
 /// the hierarchy section sparse: each L1 and L2 slice writes only the
 /// sets it has touched, and each directory only its nonzero end-to-end
 /// request ids. v8 dropped the mesh's analytic
@@ -38,7 +41,7 @@ inline constexpr std::uint32_t kFormatVersion = 9;
 /// parked flag and the spun-on address. Older archives would parse into
 /// garbage, so they get a clean up-front rejection instead of a confusing
 /// mid-parse kTruncated/kBadSection failure.
-inline constexpr std::uint32_t kMinFormatVersion = 9;
+inline constexpr std::uint32_t kMinFormatVersion = 10;
 
 /// 8-byte file magic.
 inline constexpr char kMagic[8] = {'G', 'L', 'K', 'C', 'K', 'P', 'T', '\n'};

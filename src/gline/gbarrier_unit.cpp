@@ -1,36 +1,21 @@
 #include "gline/gbarrier_unit.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace glocks::gline {
 
-GBarrierUnit::GBarrierUnit(std::uint32_t unit, std::uint32_t num_cores,
-                           std::uint32_t mesh_width, Cycle signal_latency,
+GBarrierUnit::GBarrierUnit(std::uint32_t unit,
+                           std::shared_ptr<const TokenTree> tree,
                            std::vector<glocks::core::BarrierRegisters*> regs)
-    : unit_(unit), regs_(std::move(regs)) {
-  GLOCKS_CHECK(regs_.size() == num_cores, "one register file per core");
-  const std::uint32_t num_rows = (num_cores + mesh_width - 1) / mesh_width;
-  const std::uint32_t r_row = num_rows / 2;
-
-  std::vector<std::uint32_t> s_col(num_rows);
-  for (std::uint32_t r = 0; r < num_rows; ++r) {
-    const std::uint32_t row_size =
-        std::min(mesh_width, num_cores - r * mesh_width);
-    s_col[r] = row_size / 2;
-    const bool local = r == r_row;
-    rows_.emplace_back(signal_latency, local);
-    if (!local) ++num_glines_;
-  }
-  lcs_.reserve(num_cores);
-  for (CoreId c = 0; c < num_cores; ++c) {
-    const std::uint32_t r = c / mesh_width;
-    const bool local = (c % mesh_width) == s_col[r];
-    lcs_.emplace_back(c, signal_latency, local);
-    if (!local) ++num_glines_;
-    rows_[r].members.push_back(c);
-  }
+    : unit_(unit),
+      tree_(std::move(tree)),
+      regs_(std::move(regs)),
+      lcs_(tree_->num_leaves(), LcState::kIdle),
+      up_(tree_->make_wires()),
+      down_(tree_->make_wires()),
+      aggs_(tree_->num_nodes()) {
+  GLOCKS_CHECK(regs_.size() == tree_->num_leaves(),
+               "one register file per core");
 }
 
 void GBarrierUnit::record_pulse(Wire& w, Cycle now) {
@@ -42,106 +27,105 @@ void GBarrierUnit::record_pulse(Wire& w, Cycle now) {
   }
 }
 
+void GBarrierUnit::release_children(std::uint32_t n, Cycle now) {
+  // Broadcast to every child (multi-drop G-line).
+  for (const std::uint32_t v : tree_->children(n)) {
+    record_pulse(down_[v], now);
+  }
+  aggs_[n].arrived = 0;
+  aggs_[n].reported = false;
+}
+
 void GBarrierUnit::tick(Cycle now) {
   // Local controllers: consume arrive registers, deliver releases.
-  for (auto& lc : lcs_) {
-    auto& regs = *regs_[lc.core];
-    switch (lc.state) {
+  for (CoreId c = 0; c < lcs_.size(); ++c) {
+    auto& regs = *regs_[c];
+    switch (lcs_[c]) {
       case LcState::kIdle:
         if (regs.arrive[unit_]) {
           regs.arrive[unit_] = false;
-          record_pulse(lc.up, now);
-          lc.state = LcState::kArrived;
+          record_pulse(up_[c], now);
+          lcs_[c] = LcState::kArrived;
         }
         break;
       case LcState::kArrived:
-        if (lc.down.poll(now)) {
+        if (down_[c].poll(now)) {
           regs.wait[unit_] = false;  // unblocks the core's register spin
           if (regs.owner != nullptr) regs.owner->wake();
-          lc.state = LcState::kIdle;
+          lcs_[c] = LcState::kIdle;
         }
         break;
     }
   }
 
-  // Row aggregators: count arrivals, report upward, fan releases out.
-  for (auto& row : rows_) {
-    for (std::uint32_t m : row.members) {
-      if (lcs_[m].up.poll(now)) ++row.arrived;
+  // Aggregators in level order: count arrivals, report upward, fan
+  // releases out; the root releases once every child has reported.
+  for (std::uint32_t n = 0; n < aggs_.size(); ++n) {
+    Aggregator& g = aggs_[n];
+    const auto& kids = tree_->children(n);
+    for (const std::uint32_t v : kids) {
+      if (up_[v].poll(now)) ++g.arrived;
     }
-    GLOCKS_CHECK(row.arrived <= row.members.size(),
-                 "barrier row over-subscribed");
-    if (!row.reported && row.arrived == row.members.size()) {
-      record_pulse(row.up, now);
-      row.reported = true;
-    }
-    if (row.down.poll(now)) {
-      // Root release: broadcast to every member (multi-drop G-line).
-      for (std::uint32_t m : row.members) {
-        record_pulse(lcs_[m].down, now);
+    GLOCKS_CHECK(g.arrived <= kids.size(), "barrier node over-subscribed");
+    const bool all = g.arrived == kids.size();
+    if (n == tree_->root()) {
+      if (all) {
+        ++stats_.episodes;
+        release_children(n, now);
       }
-      row.arrived = 0;
-      row.reported = false;
+      continue;
     }
-  }
-
-  // Root: when every row has reported, release all rows at once.
-  for (auto& row : rows_) {
-    if (row.up.poll(now)) ++rows_arrived_;
-  }
-  if (rows_arrived_ == rows_.size()) {
-    rows_arrived_ = 0;
-    ++stats_.episodes;
-    for (auto& row : rows_) record_pulse(row.down, now);
+    const std::uint32_t self = tree_->num_leaves() + n;
+    if (!g.reported && all) {
+      record_pulse(up_[self], now);
+      g.reported = true;
+    }
+    if (down_[self].poll(now)) release_children(n, now);
   }
 }
 
 bool GBarrierUnit::dormant() const {
-  for (const auto& lc : lcs_) {
-    if (!lc.up.idle() || !lc.down.idle()) return false;
-    if (lc.state == LcState::kIdle && regs_[lc.core]->arrive[unit_]) {
-      return false;
-    }
+  for (std::uint32_t v = 0; v < up_.size(); ++v) {
+    if (!up_[v].idle() || !down_[v].idle()) return false;
   }
-  for (const auto& row : rows_) {
-    if (!row.up.idle() || !row.down.idle()) return false;
-    if (!row.reported && row.arrived == row.members.size()) return false;
+  for (CoreId c = 0; c < lcs_.size(); ++c) {
+    if (lcs_[c] == LcState::kIdle && regs_[c]->arrive[unit_]) return false;
   }
-  return rows_arrived_ != rows_.size();
+  for (std::uint32_t n = 0; n < aggs_.size(); ++n) {
+    const bool all = aggs_[n].arrived == tree_->children(n).size();
+    if (all && !aggs_[n].reported) return false;  // reports or releases
+  }
+  return true;
 }
 
 bool GBarrierUnit::idle() const {
-  for (const auto& lc : lcs_) {
-    if (lc.state != LcState::kIdle || !lc.up.idle() || !lc.down.idle()) {
-      return false;
-    }
+  for (std::uint32_t v = 0; v < up_.size(); ++v) {
+    if (!up_[v].idle() || !down_[v].idle()) return false;
   }
-  for (const auto& row : rows_) {
-    if (row.arrived != 0 || row.reported || !row.up.idle() ||
-        !row.down.idle()) {
-      return false;
-    }
+  for (const LcState s : lcs_) {
+    if (s != LcState::kIdle) return false;
   }
-  return rows_arrived_ == 0;
+  for (const Aggregator& g : aggs_) {
+    if (g.arrived != 0 || g.reported) return false;
+  }
+  return true;
 }
 
 // ---- checkpoint ----
 
 void GBarrierUnit::save(ckpt::ArchiveWriter& a) const {
   a.u32(static_cast<std::uint32_t>(lcs_.size()));
-  for (const LocalCtl& lc : lcs_) {
-    a.u8(static_cast<std::uint8_t>(lc.state));
-    lc.up.save(a);
-    lc.down.save(a);
+  for (const LcState s : lcs_) a.u8(static_cast<std::uint8_t>(s));
+  a.u32(static_cast<std::uint32_t>(up_.size()));
+  for (std::uint32_t v = 0; v < up_.size(); ++v) {
+    up_[v].save(a);
+    down_[v].save(a);
   }
-  a.u32(static_cast<std::uint32_t>(rows_.size()));
-  for (const Row& r : rows_) {
-    a.u32(r.arrived);
-    a.b(r.reported);
-    r.up.save(a);
-    r.down.save(a);
+  a.u32(static_cast<std::uint32_t>(aggs_.size()));
+  for (const Aggregator& g : aggs_) {
+    a.u32(g.arrived);
+    a.b(g.reported);
   }
-  a.u32(rows_arrived_);
   a.u64(stats_.episodes);
   a.u64(stats_.signals);
   a.u64(stats_.local_flags);

@@ -21,43 +21,47 @@ GlineSystem::GlineSystem(
   hierarchical_ = cfg.gline.hierarchical ||
                   (cfg.gline.signal_latency == 1 &&
                    width > cfg.gline.max_transmitters_per_line + 1);
+  // Every lock unit shares one token tree, and the barrier spans the
+  // paper's rows.
+  const Cycle lat = cfg.gline.signal_latency;
+  const std::uint32_t reach = cfg.gline.max_transmitters_per_line;
+  const auto flat = std::make_shared<const TokenTree>(
+      TokenTree::flat(cfg.num_cores, width, lat));
   if (cfg.fault.enabled) {
     // Fault mode: every lock rides the guarded transport so the protocol
-    // can detect and survive the injected schedule.
+    // can detect and survive the injected schedule. Its tree groups by
+    // the reach bound, or by mesh row (a mesh is never taller than wide,
+    // so then one root spans the rows), and co-locates each node's middle
+    // child.
     injector_ = std::make_unique<fault::FaultInjector>(cfg.fault);
     health_ = std::make_unique<fault::GlockHealth>(cfg.gline.num_glocks);
-    const std::uint32_t group =
-        hierarchical_ ? cfg.gline.max_transmitters_per_line : width;
+    const auto tree = std::make_shared<const TokenTree>(
+        TokenTree::reach_bounded(cfg.num_cores, hierarchical_ ? reach : width,
+                                 lat, true));
     for (GlockId g = 0; g < cfg.gline.num_glocks; ++g) {
       guarded_units_.push_back(std::make_unique<GuardedGlockUnit>(
-          g, cfg.num_cores, group, hierarchical_, cfg.gline.signal_latency,
-          cfg.fault, injector_.get(), health_.get(), regs));
+          g, tree, cfg.fault, injector_.get(), health_.get(), regs));
     }
   } else {
+    const auto tree =
+        hierarchical_ ? std::make_shared<const TokenTree>(
+                            TokenTree::reach_bounded(cfg.num_cores, reach,
+                                                     lat, false))
+                      : flat;
     for (GlockId g = 0; g < cfg.gline.num_glocks; ++g) {
-      if (hierarchical_) {
-        // An arbitrary-depth token tree whose segments never exceed the
-        // per-wire transmitter budget.
-        hier_units_.push_back(std::make_unique<HierGlockUnit>(
-            g, cfg.num_cores, cfg.gline.signal_latency,
-            cfg.gline.max_transmitters_per_line, regs));
-      } else {
-        units_.push_back(std::make_unique<GlockUnit>(
-            g, cfg.num_cores, width, cfg.gline.signal_latency, regs));
-      }
+      units_.push_back(std::make_unique<GlockUnit>(g, tree, regs));
     }
   }
   if (!barrier_regs.empty()) {
     for (std::uint32_t b = 0; b < cfg.gline.num_gbarriers; ++b) {
-      barriers_.push_back(std::make_unique<GBarrierUnit>(
-          b, cfg.num_cores, width, cfg.gline.signal_latency, barrier_regs));
+      barriers_.push_back(
+          std::make_unique<GBarrierUnit>(b, flat, barrier_regs));
     }
   }
 }
 
 void GlineSystem::tick(Cycle now) {
   for (auto& u : units_) u->tick(now);
-  for (auto& u : hier_units_) u->tick(now);
   for (auto& u : guarded_units_) u->tick(now);
   for (auto& b : barriers_) b->tick(now);
   // The cores' lock and barrier register writes wake us (thread.hpp
@@ -78,9 +82,6 @@ bool GlineSystem::dormant() const {
   for (const auto& u : units_) {
     if (!u->dormant()) return false;
   }
-  for (const auto& u : hier_units_) {
-    if (!u->dormant()) return false;
-  }
   for (const auto& b : barriers_) {
     if (!b->dormant()) return false;
   }
@@ -97,7 +98,6 @@ GlineStats GlineSystem::total_stats() const {
     total.secondary_passes += s.secondary_passes;
   };
   for (const auto& u : units_) fold(u->stats());
-  for (const auto& u : hier_units_) fold(u->stats());
   for (const auto& u : guarded_units_) fold(u->stats());
   return total;
 }
@@ -114,9 +114,6 @@ GBarrierStats GlineSystem::total_barrier_stats() const {
 
 bool GlineSystem::idle() const {
   for (const auto& u : units_) {
-    if (!u->idle()) return false;
-  }
-  for (const auto& u : hier_units_) {
     if (!u->idle()) return false;
   }
   for (const auto& u : guarded_units_) {
@@ -144,12 +141,6 @@ std::string GlineSystem::debug_dump() const {
     oss << "glock " << g << " holder="
         << (h ? std::to_string(*h) : std::string("none"))
         << (units_[g]->idle() ? " idle" : " active") << "\n";
-  }
-  for (GlockId g = 0; g < hier_units_.size(); ++g) {
-    const auto h = hier_units_[g]->holder();
-    oss << "glock " << g << " holder="
-        << (h ? std::to_string(*h) : std::string("none"))
-        << (hier_units_[g]->idle() ? " idle" : " active") << "\n";
   }
   return oss.str();
 }
@@ -186,13 +177,8 @@ void GlineSystem::save(ckpt::ArchiveWriter& a) const {
   a.b(hierarchical_);
   a.b(guarded());
   a.u32(num_glocks());
-  if (guarded()) {
-    for (const auto& u : guarded_units_) u->save(a);
-  } else if (hierarchical_) {
-    for (const auto& u : hier_units_) u->save(a);
-  } else {
-    for (const auto& u : units_) u->save(a);
-  }
+  for (const auto& u : guarded_units_) u->save(a);
+  for (const auto& u : units_) u->save(a);
   a.u32(num_gbarriers());
   for (const auto& b : barriers_) b->save(a);
   if (guarded()) {

@@ -1,10 +1,16 @@
-// The chip's GLocks hardware: one GlockUnit per provisioned lock, plus the
-// analytic cost model of paper Table I.
+// The chip's GLocks hardware: one GlockUnit per provisioned lock, all on
+// one shared TokenTree, plus the analytic cost model of paper Table I.
 //
-// With fault injection enabled (cfg.fault.enabled) every lock unit is
-// built as a GuardedGlockUnit on reliable framed channels instead, and the
-// system owns the run's FaultInjector and the GlockHealth board that the
-// lock factory consults for fallback demotion. The barrier network is not
+// The tree is the paper's flat layout (TokenTree::flat) unless the mesh is
+// wider than the single-cycle G-line reach at latency 1, or
+// gline.hierarchical asks for it: then it is the Section V reach-bounded
+// tree (TokenTree::reach_bounded). With fault injection enabled
+// (cfg.fault.enabled) every lock unit is built as a GuardedGlockUnit on
+// reliable framed channels instead, over a reach-bounded tree that
+// co-locates each node's middle child (the mesh width is the reach when
+// the flat layout fits), and the system owns the run's FaultInjector and
+// the GlockHealth board that the lock factory consults for fallback
+// demotion. The barrier always spans the flat tree and is not
 // fault-modelled: the fault campaign targets the lock protocol.
 #pragma once
 
@@ -20,7 +26,6 @@
 #include "gline/gbarrier_unit.hpp"
 #include "gline/glock_unit.hpp"
 #include "gline/guarded_glock_unit.hpp"
-#include "gline/hier_glock_unit.hpp"
 #include "sim/engine.hpp"
 
 namespace glocks::gline {
@@ -35,18 +40,16 @@ class GlineSystem final : public sim::Component {
               std::vector<glocks::core::BarrierRegisters*> barrier_regs = {});
 
   std::uint32_t num_glocks() const {
-    if (guarded()) return static_cast<std::uint32_t>(guarded_units_.size());
-    return static_cast<std::uint32_t>(
-        hierarchical_ ? hier_units_.size() : units_.size());
+    return static_cast<std::uint32_t>(guarded() ? guarded_units_.size()
+                                                : units_.size());
   }
   bool hierarchical() const { return hierarchical_; }
   /// True when fault injection rebuilt the lock units on the guarded
   /// transport.
   bool guarded() const { return injector_ != nullptr; }
-  /// Flat-design accessors (only valid when !hierarchical() && !guarded()).
+  /// Clean-unit accessors (only valid when !guarded()).
   GlockUnit& unit(GlockId g) { return *units_[g]; }
   const GlockUnit& unit(GlockId g) const { return *units_[g]; }
-  HierGlockUnit& hier_unit(GlockId g) { return *hier_units_[g]; }
   GuardedGlockUnit& guarded_unit(GlockId g) { return *guarded_units_[g]; }
 
   std::uint32_t num_gbarriers() const {
@@ -90,7 +93,6 @@ class GlineSystem final : public sim::Component {
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<fault::GlockHealth> health_;
   std::vector<std::unique_ptr<GlockUnit>> units_;
-  std::vector<std::unique_ptr<HierGlockUnit>> hier_units_;
   std::vector<std::unique_ptr<GuardedGlockUnit>> guarded_units_;
   std::vector<std::unique_ptr<GBarrierUnit>> barriers_;
 };

@@ -8,74 +8,27 @@
 namespace glocks::gline {
 
 GuardedGlockUnit::GuardedGlockUnit(
-    GlockId glock, std::uint32_t num_cores, std::uint32_t group,
-    bool hierarchical, Cycle signal_latency, const FaultConfig& cfg,
-    fault::FaultInjector* injector, fault::GlockHealth* health,
+    GlockId glock, std::shared_ptr<const TokenTree> tree,
+    const FaultConfig& cfg, fault::FaultInjector* injector,
+    fault::GlockHealth* health,
     std::vector<glocks::core::LockRegisters*> regs)
     : glock_(glock),
-      cfg_(cfg),
+      tree_(std::move(tree)),
       injector_(injector),
       health_(health),
-      regs_(std::move(regs)) {
-  GLOCKS_CHECK(regs_.size() == num_cores, "one register file per core");
-  GLOCKS_CHECK(group >= 2, "guarded unit needs a group size of at least 2");
+      regs_(std::move(regs)),
+      lcs_(tree_->num_leaves(), LcState::kIdle),
+      mgrs_(tree_->make_managers()) {
+  GLOCKS_CHECK(regs_.size() == tree_->num_leaves(),
+               "one register file per core");
   GLOCKS_CHECK(injector_ != nullptr && health_ != nullptr,
                "guarded unit needs an injector and a health board");
-
-  leaves_.resize(num_cores);
-  leaf_mgr_.resize(num_cores);
-  leaf_slot_.resize(num_cores);
-
-  // Build manager levels bottom-up like HierGlockUnit; in flat mode the
-  // second level collapses to a single root over all row managers.
-  std::uint32_t prev_count = num_cores;
-  std::uint32_t prev_first = 0;
-  bool prev_is_cores = true;
-  std::uint32_t span = group;
-  while (true) {
-    const std::uint32_t count = (prev_count + span - 1) / span;
-    const std::uint32_t first = static_cast<std::uint32_t>(mgrs_.size());
-    for (std::uint32_t n = 0; n < count; ++n) {
-      mgrs_.emplace_back();
-      Mgr& m = mgrs_.back();
-      m.leaf_level = prev_is_cores;
-      const std::uint32_t lo = n * span;
-      const std::uint32_t hi = std::min(prev_count, lo + span);
-      const std::uint32_t local_slot = (hi - lo) / 2;  // co-located child
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        const std::uint32_t slot = i - lo;
-        const bool local = slot == local_slot;
-        auto ch = std::make_unique<FramedChannel>(signal_latency, local,
-                                                  cfg_, injector_, &stats_);
-        num_glines_ += ch->num_glines();
-        if (prev_is_cores) {
-          Leaf& lf = leaves_[i];
-          lf.core = i;
-          lf.ch = std::move(ch);
-          leaf_mgr_[i] = first + n;
-          leaf_slot_[i] = slot;
-          m.children.push_back(i);
-        } else {
-          mgrs_[prev_first + i].up = std::move(ch);
-          m.children.push_back(prev_first + i);
-        }
-        m.fx.push_back(false);
-      }
-    }
-    if (count == 1) {
-      mgrs_.back().is_root = true;
-      mgrs_.back().has_token = true;  // token parks at the root
-      break;
-    }
-    prev_count = count;
-    prev_first = first;
-    prev_is_cores = false;
-    if (!hierarchical) span = count;  // flat: one root over the rows
-  }
-
-  for (auto& lf : leaves_) channels_.push_back(lf.ch.get());
-  for (auto& m : mgrs_) {
-    if (m.up) channels_.push_back(m.up.get());
+  // Built in vertex order, so the injector numbers the wires in the order
+  // a level-by-level construction would.
+  for (std::uint32_t v = 0; v < tree_->num_edges(); ++v) {
+    const TokenTree::Edge& e = tree_->edge(v);
+    channels_.push_back(std::make_unique<FramedChannel>(
+        e.latency, e.colocated, cfg, injector_, &stats_));
   }
   live_.resize(channels_.size());  // sized once: channels hold its words
   due_.resize(channels_.size());    // every channel due at cycle 0
@@ -84,66 +37,55 @@ GuardedGlockUnit::GuardedGlockUnit(
   }
 }
 
-FramedChannel& GuardedGlockUnit::child_channel(Mgr& m, std::uint32_t i) {
-  return m.leaf_level ? *leaves_[m.children[i]].ch
-                      : *mgrs_[m.children[i]].up;
-}
-
-const FramedChannel& GuardedGlockUnit::child_channel(
-    const Mgr& m, std::uint32_t i) const {
-  return m.leaf_level ? *leaves_[m.children[i]].ch
-                      : *mgrs_[m.children[i]].up;
-}
-
-void GuardedGlockUnit::tick_leaf(Leaf& lf, Cycle now) {
-  auto& regs = *regs_[lf.core];
+void GuardedGlockUnit::tick_leaf(CoreId c) {
+  auto& regs = *regs_[c];
+  FramedChannel& ch = *channels_[c];
   Sym s;
-  switch (lf.state) {
+  switch (lcs_[c]) {
     case LcState::kIdle:
       // While failing, leave new requests parked in the registers: the
       // drain must not create fresh claims on the token, and after
       // demotion the register flush (plus the ResilientGlock reroute)
       // serves them in software.
       if (regs.req[glock_] && !failing_) {
-        lf.ch->send(0, Sym::kReq);
-        lf.state = LcState::kWaiting;
+        ch.send(0, Sym::kReq);
+        lcs_[c] = LcState::kWaiting;
       }
       break;
     case LcState::kWaiting:
-      if (lf.ch->recv(0, s)) {
+      if (ch.recv(0, s)) {
         GLOCKS_CHECK(s == Sym::kToken,
-                     "leaf " << lf.core << " expected TOKEN, got "
-                             << to_string(s));
+                     "leaf " << c << " expected TOKEN, got " << to_string(s));
         GLOCKS_CHECK(holder_count_ == 0,
-                     "double token grant: core " << lf.core
-                                                 << " granted while held");
+                     "double token grant: core " << c << " granted while held");
         ++holder_count_;
         regs.req[glock_] = false;  // unblocks the core's register spin
         if (regs.owner != nullptr) regs.owner->wake();
-        lf.state = LcState::kHolding;
+        lcs_[c] = LcState::kHolding;
         ++stats_.acquires_granted;
       }
       break;
     case LcState::kHolding:
       if (regs.rel[glock_]) {
-        lf.ch->send(0, Sym::kRel);
+        ch.send(0, Sym::kRel);
         regs.rel[glock_] = false;
         if (regs.owner != nullptr) regs.owner->wake();
-        lf.state = LcState::kIdle;
+        lcs_[c] = LcState::kIdle;
         --holder_count_;
         ++stats_.releases;
       }
       break;
   }
-  (void)now;
 }
 
-void GuardedGlockUnit::tick_mgr(Mgr& m) {
+void GuardedGlockUnit::tick_mgr(std::uint32_t n) {
+  TokenManager& m = mgrs_[n];
   // Absorb child symbols. Reliable delivery makes these exact (no toggle
   // ambiguity): a REQ always means "child wants the token".
   Sym s;
-  for (std::uint32_t i = 0; i < m.children.size(); ++i) {
-    while (child_channel(m, i).recv(1, s)) {
+  const auto& kids = tree_->children(n);
+  for (std::uint32_t i = 0; i < kids.size(); ++i) {
+    while (channels_[kids[i]]->recv(1, s)) {
       if (s == Sym::kReq) {
         GLOCKS_CHECK(!m.fx[i], "duplicate REQ reached a manager");
         m.fx[i] = true;
@@ -157,8 +99,8 @@ void GuardedGlockUnit::tick_mgr(Mgr& m) {
       }
     }
   }
-  if (!m.is_root && m.up) {
-    while (m.up->recv(0, s)) {
+  if (n != tree_->root()) {
+    while (channels_[tree_->num_leaves() + n]->recv(0, s)) {
       GLOCKS_CHECK(s == Sym::kToken, "manager expected TOKEN");
       GLOCKS_CHECK(!m.has_token, "duplicate token at a manager");
       m.has_token = true;
@@ -168,64 +110,40 @@ void GuardedGlockUnit::tick_mgr(Mgr& m) {
 
   if (failing_) return;  // no new grants or requests during the drain
 
-  const bool any_pending =
-      std::find(m.fx.begin(), m.fx.end(), true) != m.fx.end();
-
-  if (!m.has_token) {
-    if (!m.is_root && !m.requested && any_pending) {
-      m.up->send(0, Sym::kReq);
-      m.requested = true;
-    }
-    return;
+  const TokenTree::Action a = tree_->step(n, m, stats_);
+  switch (a.send) {
+    case TokenTree::Send::kNothing:
+      break;
+    case TokenTree::Send::kReq:
+      channels_[a.vertex]->send(0, Sym::kReq);
+      break;
+    case TokenTree::Send::kToken:
+      channels_[a.vertex]->send(1, Sym::kToken);
+      break;
+    case TokenTree::Send::kRel:
+      channels_[a.vertex]->send(0, Sym::kRel);
+      break;
   }
-  if (m.granted != -1) return;
-
-  // Round-robin pass over pending children (baseline policy).
-  for (std::uint32_t p = m.pos; p < m.children.size(); ++p) {
-    if (m.fx[p]) {
-      m.granted = static_cast<int>(p);
-      m.pos = p + 1;
-      child_channel(m, p).send(1, Sym::kToken);
-      return;
-    }
-  }
-  m.pos = 0;
-  if (m.is_root) return;  // the root keeps the token parked
-  m.has_token = false;
-  m.requested = false;
-  ++stats_.secondary_passes;
-  m.up->send(0, Sym::kRel);
 }
 
-bool GuardedGlockUnit::mgr_settled(const Mgr& m) const {
-  if (failing_) return true;
-  const bool any_pending =
-      std::find(m.fx.begin(), m.fx.end(), true) != m.fx.end();
-  if (!m.has_token) return m.is_root || m.requested || !any_pending;
-  // A holder with nothing granted grants, resets its round-robin cursor
-  // or (below the root) passes the token up on its next pass.
-  return m.granted != -1 || (m.is_root && m.pos == 0 && !any_pending);
-}
-
-void GuardedGlockUnit::try_demote(Cycle now) {
+void GuardedGlockUnit::try_demote() {
   // Demotion is safe only once no leaf holds the token and no granted
   // token can still arrive on a live channel — a token landing after the
   // software fallback takes over would mean two lock owners.
-  for (const auto& lf : leaves_) {
-    if (lf.state == LcState::kHolding) return;
-    if (lf.state == LcState::kWaiting) {
-      const Mgr& m = mgrs_[leaf_mgr_[lf.core]];
+  for (CoreId c = 0; c < lcs_.size(); ++c) {
+    if (lcs_[c] == LcState::kHolding) return;
+    if (lcs_[c] == LcState::kWaiting) {
+      const TokenTree::Edge& e = tree_->edge(c);
       const bool token_may_arrive =
-          m.granted == static_cast<int>(leaf_slot_[lf.core]) &&
-          !lf.ch->dead();
+          mgrs_[e.manager].granted == static_cast<int>(e.slot) &&
+          !channels_[c]->dead();
       if (token_may_arrive) return;
     }
   }
   demoted_ = true;
   health_->demoted[glock_] = 1;
   injector_->counter(&fault::FaultStats::fallback_demotions)++;
-  for (auto& lf : leaves_) lf.state = LcState::kIdle;
-  (void)now;
+  lcs_.assign(lcs_.size(), LcState::kIdle);
 }
 
 void GuardedGlockUnit::flush_registers() {
@@ -257,39 +175,37 @@ void GuardedGlockUnit::tick(Cycle now) {
     due_[i] = ch.next_event(now);
     live_.reset(i);
   });
-  for (auto& lf : leaves_) tick_leaf(lf, now);
-  for (auto& m : mgrs_) tick_mgr(m);
-  if (failing_) try_demote(now);
+  for (CoreId c = 0; c < lcs_.size(); ++c) tick_leaf(c);
+  for (std::uint32_t n = 0; n < mgrs_.size(); ++n) tick_mgr(n);
+  if (failing_) try_demote();
 
   next_tick_ = *std::min_element(due_.begin(), due_.end());
-  // Sends marked channels live; a demotion still owes one flush.
-  const bool again =
-      demoted_ || !live_.none() ||
-      std::any_of(mgrs_.begin(), mgrs_.end(),
-                  [this](const Mgr& m) { return !mgr_settled(m); });
+  // Sends marked channels live; a demotion still owes one flush, and a
+  // manager whose round robin needs a second pass acts next cycle.
+  bool again = demoted_ || !live_.none();
+  for (std::uint32_t n = 0; n < mgrs_.size() && !again && !failing_; ++n) {
+    again = tree_->acts(n, mgrs_[n]);
+  }
   if (again) next_tick_ = now + 1;
 }
 
 std::optional<CoreId> GuardedGlockUnit::holder() const {
-  for (const auto& lf : leaves_) {
-    if (lf.state == LcState::kHolding) return lf.core;
+  for (CoreId c = 0; c < lcs_.size(); ++c) {
+    if (lcs_[c] == LcState::kHolding) return c;
   }
   return std::nullopt;
 }
 
 bool GuardedGlockUnit::idle() const {
   if (demoted_) return true;  // software owns the lock from here on
-  for (const auto& lf : leaves_) {
-    if (lf.state != LcState::kIdle || !lf.ch->idle()) return false;
+  for (const auto& ch : channels_) {
+    if (!ch->idle()) return false;
   }
-  for (const auto& m : mgrs_) {
-    if (m.up && !m.up->idle()) return false;
-    if (m.requested || (m.has_token && !m.is_root) || m.granted != -1) {
-      return false;
-    }
-    for (const bool f : m.fx) {
-      if (f) return false;
-    }
+  for (const LcState s : lcs_) {
+    if (s != LcState::kIdle) return false;
+  }
+  for (std::uint32_t n = 0; n < mgrs_.size(); ++n) {
+    if (!tree_->at_rest(n, mgrs_[n])) return false;
   }
   return true;
 }
@@ -299,19 +215,23 @@ std::string GuardedGlockUnit::debug_dump() const {
   oss << "glock " << glock_ << (demoted_ ? " [demoted]" : "")
       << (failing_ && !demoted_ ? " [failing/draining]" : "") << "\n";
   oss << "  leaves:";
-  for (const auto& lf : leaves_) {
-    const char* st = lf.state == LcState::kIdle
+  for (CoreId c = 0; c < lcs_.size(); ++c) {
+    const char* st = lcs_[c] == LcState::kIdle
                          ? "I"
-                         : lf.state == LcState::kWaiting ? "W" : "H";
-    oss << " " << lf.core << ":" << st << (lf.ch->dead() ? "!" : "");
+                         : lcs_[c] == LcState::kWaiting ? "W" : "H";
+    oss << " " << c << ":" << st << (channels_[c]->dead() ? "!" : "");
   }
   oss << "\n";
-  for (std::size_t n = 0; n < mgrs_.size(); ++n) {
-    const Mgr& m = mgrs_[n];
-    oss << "  mgr " << n << (m.is_root ? " (root)" : "") << " token="
+  for (std::uint32_t n = 0; n < mgrs_.size(); ++n) {
+    const TokenManager& m = mgrs_[n];
+    const bool root = n == tree_->root();
+    oss << "  mgr " << n << (root ? " (root)" : "") << " token="
         << (m.has_token ? "yes" : "no") << " granted=" << m.granted
         << " req=" << (m.requested ? "yes" : "no")
-        << (m.up && m.up->dead() ? " up-link=DEAD" : "") << " fx=[";
+        << (!root && channels_[tree_->num_leaves() + n]->dead()
+                ? " up-link=DEAD"
+                : "")
+        << " fx=[";
     for (std::size_t i = 0; i < m.fx.size(); ++i) {
       oss << (i ? "," : "") << (m.fx[i] ? 1 : 0);
     }
@@ -323,22 +243,12 @@ std::string GuardedGlockUnit::debug_dump() const {
 // ---- checkpoint ----
 
 void GuardedGlockUnit::save(ckpt::ArchiveWriter& a) const {
-  a.u32(static_cast<std::uint32_t>(leaves_.size()));
-  for (const Leaf& lf : leaves_) {
-    a.u8(static_cast<std::uint8_t>(lf.state));
-    lf.ch->save(a);
-  }
+  a.u32(static_cast<std::uint32_t>(lcs_.size()));
+  for (const LcState st : lcs_) a.u8(static_cast<std::uint8_t>(st));
+  a.u32(static_cast<std::uint32_t>(channels_.size()));
+  for (const auto& ch : channels_) ch->save(a);
   a.u32(static_cast<std::uint32_t>(mgrs_.size()));
-  for (const Mgr& m : mgrs_) {
-    a.u32(static_cast<std::uint32_t>(m.fx.size()));
-    for (bool f : m.fx) a.b(f);
-    a.b(m.up != nullptr);
-    if (m.up != nullptr) m.up->save(a);
-    a.b(m.has_token);
-    a.b(m.requested);
-    a.i64(m.granted);
-    a.u32(m.pos);
-  }
+  for (const TokenManager& m : mgrs_) save_token_manager(a, m);
   a.u32(holder_count_);
   a.b(failing_);
   a.b(demoted_);

@@ -74,7 +74,9 @@ Flags:
   --list               list available workloads and lock kinds
   --help               print this text
 
-A mistake on the command line exits 2; a simulator error exits 1.
+Exit status: 0 success; 1 a simulator error; 2 a mistake on the command
+line; 3 a checkpoint in a format this build does not read (--restore);
+4 a restore whose replayed machine differs from the checkpoint.
 )";
 
 int list_everything() {
@@ -253,6 +255,13 @@ int main(int argc, char** argv) {
   } catch (const tools::UsageError& e) {
     std::fprintf(stderr, "glocksim: %s\n", e.what());
     return 2;
+  } catch (const ckpt::CkptError& e) {
+    std::fprintf(stderr, "glocksim: %s\n", e.what());
+    switch (e.code()) {
+      case ckpt::CkptError::Code::kBadVersion: return 3;
+      case ckpt::CkptError::Code::kStateDivergence: return 4;
+      default: return 1;
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "glocksim: %s\n", e.what());
     return 1;

@@ -238,8 +238,9 @@ TEST_F(CkptRejection, NewerFormatVersionIsBadVersion) {
 // naming the version: v5 predates the spin-parking fields of the core and
 // L1 sections, v6 still carries the execution-strategy fields v7 dropped
 // from the run spec and the meta section, v7 the mesh fast-forward
-// flag and state v8 dropped from the run spec and the mesh section, and
-// v8 every cache way where v9 holds only the touched sets.
+// flag and state v8 dropped from the run spec and the mesh section, v8
+// every cache way where v9 holds only the touched sets, and v9 the G-line
+// units' per-unit layouts that v10 writes over their token tree.
 class CkptOldVersion : public CkptRejection,
                        public ::testing::WithParamInterface<std::uint32_t> {};
 
@@ -265,8 +266,8 @@ TEST_P(CkptOldVersion, ArchiveIsBadVersion) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PreV9, CkptOldVersion,
-                         ::testing::Values(5u, 6u, 7u, 8u),
+INSTANTIATE_TEST_SUITE_P(PreV10, CkptOldVersion,
+                         ::testing::Values(5u, 6u, 7u, 8u, 9u),
                          [](const auto& info) {
                            return "v" + std::to_string(info.param);
                          });

@@ -121,9 +121,10 @@ TEST(Archive, OlderVersionRejectedUpFront) {
   // cleanly at the header — not fail mid-parse with kTruncated or
   // kBadSection after consuming unrelated bytes as mesh config. v7
   // archives still carry the mesh fast-forward flag and state v8 dropped;
-  // v8 archives hold every cache way, where v9 holds only touched sets.
-  static_assert(ckpt::kMinFormatVersion > 8,
-                "v8 archives must be refused as an older format");
+  // v8 archives hold every cache way, where v9 holds only touched sets;
+  // v9 archives write the G-line units' per-unit layouts, not the tree's.
+  static_assert(ckpt::kMinFormatVersion > 9,
+                "v9 archives must be refused as an older format");
   ArchiveWriter w;
   w.begin_section(1);
   w.u8(1);

@@ -4,7 +4,8 @@
 # --workload, a machine CmpConfig::validate rejects or a malformed
 # --faults spec prints "<tool>: <message>" (no invariant-violation text)
 # and exits 2. A chip past the single-cycle G-line reach runs: it gets
-# the hierarchical G-line network without asking.
+# the hierarchical G-line network without asking. A --restore of a
+# checkpoint whose format version this build does not read exits 3.
 #
 # Usage: tests/cli_usage_test.sh GLOCKSIM GLOCKS_SWEEP
 set -uo pipefail
@@ -13,7 +14,8 @@ GLOCKSIM="$1"
 SWEEP="$2"
 OUT="$(mktemp)"
 ERR="$(mktemp)"
-trap 'rm -f "$OUT" "$ERR"' EXIT
+CKPT_DIR="$(mktemp -d)"
+trap 'rm -rf "$OUT" "$ERR" "$CKPT_DIR"' EXIT
 failures=0
 
 # expect CODE STDOUT_PATTERN STDERR_PATTERN -- COMMAND...
@@ -61,6 +63,16 @@ expect 2 "" "^glocksim: --faults: 'abc' is not a number" -- \
   "$GLOCKSIM" --workload SCTR --faults drop=abc
 expect 0 "^workload SCTR" "" -- \
   "$GLOCKSIM" --workload SCTR --lock mcs --cores 64 --scale 0.05
+# A checkpoint stamped with format version 9 (the header's u32 at byte 8).
+"$GLOCKSIM" --workload SCTR --lock mcs --cores 4 --scale 0.05 \
+  --checkpoint-every 500 --checkpoint-dir "$CKPT_DIR" >/dev/null 2>&1
+CKPT="$(ls "$CKPT_DIR"/*.ckpt 2>/dev/null | head -n1)"
+if [[ -n "$CKPT" ]]; then
+  printf '\x09\x00\x00\x00' |
+    dd of="$CKPT" bs=1 seek=8 conv=notrunc status=none
+fi
+expect 3 "" "^glocksim: .*format version 9" -- \
+  "$GLOCKSIM" --restore "${CKPT:-missing.ckpt}"
 expect 2 "" "^glocks-sweep: unknown flag --bogus" -- "$SWEEP" --bogus
 expect 2 "" "^glocks-sweep: unknown workload NOPE" -- \
   "$SWEEP" --workloads SCTR,NOPE

@@ -3,8 +3,9 @@
 // reconciliation, --faults spec parsing, the wire double-drive invariant,
 // reliable exactly-once delivery over lossy wires, link death after the
 // retry budget, guarded-unit grants and demotion, the noise lookahead,
-// recorded digests of the event-driven guarded units, and the structured
-// hang diagnostic that replaced the bare cycle-limit abort.
+// recorded digests of the event-driven guarded units and of the clean
+// units, and the structured hang diagnostic that replaced the bare
+// cycle-limit abort.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -394,8 +395,11 @@ class GuardedUnitFixture : public ::testing::Test {
     health_ = std::make_unique<fault::GlockHealth>(1);
     for (std::uint32_t c = 0; c < kCores; ++c) regs_.emplace_back(1);
     for (auto& r : regs_) ptrs_.push_back(&r);
+    // The flat layout fits: rows of kWidth under one root.
     unit_ = std::make_unique<gline::GuardedGlockUnit>(
-        0, kCores, kWidth, /*hierarchical=*/false, /*signal_latency=*/1,
+        0,
+        std::make_shared<const gline::TokenTree>(
+            gline::TokenTree::reach_bounded(kCores, kWidth, 1, true)),
         cfg_, injector_.get(), health_.get(), ptrs_);
   }
 
@@ -591,15 +595,15 @@ struct DigestCase {
 };
 void PrintTo(const DigestCase& c, std::ostream* os) { *os << c.name; }
 
-class GuardedDigest : public ::testing::TestWithParam<DigestCase> {
+/// Contenders on a two-GLock system, run by hand or on the engine, folded
+/// into one digest. The parameter type picks the machine (build()).
+template <typename Case>
+class DigestFixture : public ::testing::TestWithParam<Case> {
  protected:
   static constexpr Cycle kLimit = 400000;
 
-  void SetUp() override {
-    cfg_.num_cores = GetParam().hierarchical ? 64 : 32;
-    cfg_.gline.hierarchical = GetParam().hierarchical;
+  void build() {
     cfg_.gline.num_glocks = 2;
-    cfg_.fault = fault::parse_fault_spec(GetParam().faults);
     regs_.assign(cfg_.num_cores, core::LockRegisters(2));
     for (auto& r : regs_) ptrs_.push_back(&r);
     sys_ = std::make_unique<gline::GlineSystem>(cfg_, ptrs_);
@@ -639,12 +643,30 @@ class GuardedDigest : public ::testing::TestWithParam<DigestCase> {
     return now;
   }
 
+  Cycle run_on_engine() {
+    sim::Engine engine;
+    ContenderSlot slot(drv_, regs_, *sys_);
+    engine.add(slot, "contenders");
+    engine.add(*sys_, "glines");
+    return engine.run_until([this] { return drv_.done(); }, kLimit);
+  }
+
   CmpConfig cfg_;
   std::vector<core::LockRegisters> regs_;
   std::vector<core::LockRegisters*> ptrs_;
   std::unique_ptr<gline::GlineSystem> sys_;
   Contenders drv_;
   std::uint64_t demotions_ = 0;
+};
+
+class GuardedDigest : public DigestFixture<DigestCase> {
+ protected:
+  void SetUp() override {
+    cfg_.num_cores = GetParam().hierarchical ? 64 : 32;
+    cfg_.gline.hierarchical = GetParam().hierarchical;
+    cfg_.fault = fault::parse_fault_spec(GetParam().faults);
+    build();
+  }
 };
 
 TEST_P(GuardedDigest, HandTicked) {
@@ -655,12 +677,7 @@ TEST_P(GuardedDigest, HandTicked) {
 }
 
 TEST_P(GuardedDigest, EngineRegistered) {
-  sim::Engine engine;
-  ContenderSlot slot(drv_, regs_, *sys_);
-  engine.add(slot, "contenders");
-  engine.add(*sys_, "glines");
-  const auto done = [this] { return drv_.done(); };
-  EXPECT_EQ(finish(engine.run_until(done, kLimit)), GetParam().digest);
+  EXPECT_EQ(finish(run_on_engine()), GetParam().digest);
 }
 
 constexpr const char* kArq = "drop=0.02,garble=0.02,delay=0.02,seed=3";
@@ -682,6 +699,55 @@ INSTANTIATE_TEST_SUITE_P(
         DigestCase{"hier_noise", true, kNoise, 17992213573245625870ull},
         DigestCase{"hier_stuck", true, kStuck, 12219890195078054157ull},
         DigestCase{"hier_all", true, kAll, 2175056162628721364ull}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// ----------------------------------------- recorded clean-unit digests
+//
+// The same contenders on the fault-free units: the flat paper tree (rows
+// under a circular primary) and the reach-bounded Section V tree, each at
+// G-line latency 1 and 3, hand-ticked and on the event-driven engine
+// (which sleeps on the units' dormant()). The digests were recorded from
+// the separate flat and hierarchical units the shared token tree replaced.
+
+struct CleanCase {
+  const char* name;
+  std::uint32_t cores;
+  bool hierarchical;  ///< reach-bounded tree (reach 6) instead of rows
+  Cycle latency;
+  std::uint64_t digest;
+};
+void PrintTo(const CleanCase& c, std::ostream* os) { *os << c.name; }
+
+class CleanDigest : public DigestFixture<CleanCase> {
+ protected:
+  void SetUp() override {
+    cfg_.num_cores = GetParam().cores;
+    cfg_.gline.hierarchical = GetParam().hierarchical;
+    cfg_.gline.signal_latency = GetParam().latency;
+    build();
+    ASSERT_EQ(sys_->hierarchical(), GetParam().hierarchical);
+  }
+};
+
+TEST_P(CleanDigest, HandTicked) {
+  EXPECT_EQ(finish(run_by_hand()), GetParam().digest);
+}
+
+TEST_P(CleanDigest, EngineRegistered) {
+  EXPECT_EQ(finish(run_on_engine()), GetParam().digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, CleanDigest,
+    ::testing::Values(
+        CleanCase{"flat9_lat1", 9, false, 1, 11899688202843634337ull},
+        CleanCase{"flat9_lat3", 9, false, 3, 11644323652768159579ull},
+        CleanCase{"flat32_lat1", 32, false, 1, 15374959599594474463ull},
+        CleanCase{"flat32_lat3", 32, false, 3, 10273928286620415649ull},
+        CleanCase{"reach100_lat1", 100, true, 1, 2291624180736424525ull},
+        CleanCase{"reach100_lat3", 100, true, 3, 13387421600529381386ull},
+        CleanCase{"reach256_lat1", 256, true, 1, 6291378950282172241ull},
+        CleanCase{"reach256_lat3", 256, true, 3, 5278776459617587151ull}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // -------------------------------------------- hang diagnostic (#1)

@@ -23,7 +23,11 @@ class GBarrierFixture : public ::testing::Test {
   GBarrierFixture() {
     for (std::uint32_t c = 0; c < kCores; ++c) regs_.emplace_back(1);
     for (auto& r : regs_) ptrs_.push_back(&r);
-    unit_ = std::make_unique<gline::GBarrierUnit>(0, kCores, 3, 1, ptrs_);
+    unit_ = std::make_unique<gline::GBarrierUnit>(
+        0,
+        std::make_shared<const gline::TokenTree>(
+            gline::TokenTree::flat(kCores, 3, 1)),
+        ptrs_);
   }
 
   void arrive(CoreId c) {

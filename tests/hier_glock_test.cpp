@@ -44,16 +44,16 @@ class HierFixture {
 TEST(HierGlock, TreeShapeMatchesReach) {
   // 100 cores, reach 6: 17 segment nodes + 3 group nodes + 1 root.
   HierFixture f(100);
-  EXPECT_EQ(f.unit_->num_nodes(), 21u);
-  EXPECT_EQ(f.unit_->depth(), 3u);
+  EXPECT_EQ(f.unit_->tree().num_nodes(), 21u);
+  EXPECT_EQ(f.unit_->tree().depth(), 3u);
   // wires: 100 leaf wires + 17 + 3 (non-root nodes).
   EXPECT_EQ(f.unit_->num_glines(), 120u);
 }
 
 TEST(HierGlock, SmallChipCollapsesToTwoLevels) {
   HierFixture f(9, 3);
-  EXPECT_EQ(f.unit_->depth(), 2u);  // 3 segments + root
-  EXPECT_EQ(f.unit_->num_nodes(), 4u);
+  EXPECT_EQ(f.unit_->tree().depth(), 2u);  // 3 segments + root
+  EXPECT_EQ(f.unit_->tree().num_nodes(), 4u);
 }
 
 TEST(HierGlock, GrantLatencyGrowsLogarithmically) {
